@@ -82,13 +82,15 @@ int main() {
         [&] { s_scores = scalar.ScoreCandidates(*app, data, env, candidates); });
     batched.model()->InvalidateCache();
     double t_b1 = TimeSeconds([&] {
-      b1_scores = ScoreCandidatesWithEnsemble(&runner, batched.corpus(), models,
-                                              *app, data, env, candidates, 1);
+      b1_scores = ScoreCandidatesWithEnsemble(
+          &runner, batched.corpus(), models, *app, data, env, candidates,
+          QuantBackend::kExactFp32, 1);
     });
     batched.model()->InvalidateCache();
     double t_bm = TimeSeconds([&] {
-      bm_scores = ScoreCandidatesWithEnsemble(&runner, batched.corpus(), models,
-                                              *app, data, env, candidates, 0);
+      bm_scores = ScoreCandidatesWithEnsemble(
+          &runner, batched.corpus(), models, *app, data, env, candidates,
+          QuantBackend::kExactFp32, 0);
     });
 
     bool identical = s_scores == b1_scores && b1_scores == bm_scores;

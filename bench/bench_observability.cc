@@ -67,7 +67,8 @@ int main() {
   auto score_once = [&] {
     system.model()->InvalidateCache();
     return ScoreCandidatesWithEnsemble(&runner, system.corpus(), models, *app,
-                                       data, env, candidates, 0);
+                                       data, env, candidates,
+                                       QuantBackend::kExactFp32, 0);
   };
 
   const bool saved_enabled = obs::Enabled();

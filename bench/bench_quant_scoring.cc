@@ -113,7 +113,8 @@ int main() {
     std::vector<double> exact;
     double t_exact = TimeSeconds([&] {
       exact = ScoreCandidatesWithEnsemble(&runner, system.corpus(), models,
-                                          *app, data, env, candidates, 1);
+                                          *app, data, env, candidates,
+                                          QuantBackend::kExactFp32, 1);
     });
     table.AddRow({TablePrinter::Fmt(static_cast<int64_t>(pool)), "exact",
                   TablePrinter::Fmt(t_exact), "1.00", "-", "-", "-", "-"});
@@ -128,7 +129,7 @@ int main() {
       const uint64_t bytes_before = arena_bytes->Value();
       std::vector<double> quant;
       double t_quant = TimeSeconds([&] {
-        quant = ScoreCandidatesWithEnsembleQuantized(
+        quant = ScoreCandidatesWithEnsemble(
             &runner, system.corpus(), models, *app, data, env, candidates,
             backend, 1);
       });

@@ -1,5 +1,6 @@
 #include "lite/lite_system.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -52,6 +53,7 @@ struct LiteMetrics {
     return *m;
   }
 };
+
 }  // namespace
 
 std::vector<double> ScoreCandidatesWithEnsemble(
@@ -59,7 +61,7 @@ std::vector<double> ScoreCandidatesWithEnsemble(
     const std::vector<const NecsModel*>& models,
     const spark::ApplicationSpec& app, const spark::DataSpec& data,
     const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    size_t threads) {
+    QuantBackend backend, size_t threads) {
   std::vector<double> scores(candidates.size());
   if (candidates.empty()) return scores;
   LITE_CHECK(!models.empty()) << "scoring with an empty ensemble";
@@ -77,117 +79,61 @@ std::vector<double> ScoreCandidatesWithEnsemble(
     return builder.FeaturizeCandidate(feature_space, app, data, env,
                                       candidates[0]);
   }();
-  {
-    // Warm every model's encoder cache before sharding, so the parallel
-    // phase only ever reads it (no insert races, no serialization on
-    // misses).
-    obs::Span span("lite.warm_encoder_cache");
-    for (const NecsModel* m : models) m->WarmEncoderCache(base.stage_instances);
-  }
-
-  const auto& space = spark::KnobSpace::Spark16();
-  auto score_one = [&](size_t i) {
-    CandidateEval ce = base;
-    ce.config = candidates[i];
-    std::vector<double> knobs = space.Normalize(candidates[i]);
-    for (auto& inst : ce.stage_instances) inst.knobs = knobs;
-    // Ensemble-mean in log space (geometric mean of predicted times).
-    double score = 0.0;
-    for (const NecsModel* m : models) {
-      score += std::log1p(std::max(m->PredictAppSeconds(ce), 0.0));
-    }
-    score /= static_cast<double>(models.size());
-    scores[i] = std::expm1(score);
-  };
-
-  if (threads == 1) {
-    for (size_t i = 0; i < candidates.size(); ++i) score_one(i);
-  } else if (threads == 0) {
-    ThreadPool::Shared().ParallelFor(candidates.size(), score_one);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(candidates.size(), score_one);
-  }
-  return scores;
-}
-
-std::vector<double> ScoreCandidatesWithEnsembleQuantized(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    QuantBackend backend, size_t threads) {
-  std::vector<double> scores(candidates.size());
-  if (candidates.empty()) return scores;
-  LITE_CHECK(!models.empty()) << "scoring with an empty ensemble";
-  LITE_CHECK(backend != QuantBackend::kExactFp32)
-      << "quantized scoring with the exact backend: use "
-         "ScoreCandidatesWithEnsemble";
-  const LiteMetrics& metrics = LiteMetrics::Get();
-  obs::Span score_span("lite.score_candidates", metrics.score_seconds);
-  metrics.score_calls->Inc();
-  metrics.candidates_scored->Inc(candidates.size());
-
-  CorpusBuilder builder(runner);
-  const CandidateEval base = [&] {
-    obs::Span span("lite.featurize", metrics.featurize_seconds);
-    return builder.FeaturizeCandidate(feature_space, app, data, env,
-                                      candidates[0]);
-  }();
-  // One scoring plan per ensemble member: the knob-independent feature rows
-  // (data/env features + cached encodings) are frozen here, so the sharded
-  // phase below touches no model state and no heap — each candidate is a
-  // template memcpy, knob writes, and a quantized GEMM chain in the worker's
-  // arena.
-  std::vector<std::pair<const QuantizedNecs*, QuantizedNecs::ScoringPlan>>
-      plans;
+  // One plan per ensemble member: the knob-independent feature rows (data
+  // and env features + cached encodings) are frozen here, so the sharded
+  // phase below touches no model state, no encoder cache and no heap —
+  // each candidate is a template copy, knob writes and a tower pass in the
+  // worker's arena.
+  std::vector<ScoringPlan> plans;
   plans.reserve(models.size());
   {
     obs::Span span("lite.warm_encoder_cache");
     for (const NecsModel* m : models) {
-      const QuantizedNecs* q = m->Quantized(backend);
-      plans.emplace_back(q, q->BuildPlan(base));
+      plans.push_back(backend == QuantBackend::kExactFp32
+                          ? m->BuildPlan(base)
+                          : m->Quantized(backend)->BuildPlan(base));
     }
   }
 
-  // Normalize once up front, then score fixed candidate blocks: one GEMM
-  // chain per (block, ensemble member) amortizes the per-GEMM overhead that
-  // dominates at these matrix sizes. Block composition is invisible to the
-  // results — every quantized row is scaled, dotted and de-quantized
-  // independently — so any block size (and any thread count) produces
-  // bit-identical scores.
   const auto& space = spark::KnobSpace::Spark16();
   std::vector<std::vector<double>> knobs(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     knobs[i] = space.Normalize(candidates[i]);
   }
 
-  constexpr size_t kBlock = 32;
-  const size_t num_blocks = (candidates.size() + kBlock - 1) / kBlock;
+  // Every row is scored independently, so block composition (and thread
+  // count) never changes a score. Blocks of up to 32 amortize the per-pass
+  // overhead; smaller requests split into one block per pool worker so they
+  // still fan out when scored from outside the pool.
+  ThreadPool* pool = threads == 1 ? nullptr : &ThreadPool::WithThreads(threads);
+  constexpr size_t kMaxBlock = 32;
+  const size_t workers = pool == nullptr ? 1 : pool->size();
+  const size_t block = std::min(kMaxBlock, (candidates.size() + workers - 1) /
+                                               workers);
+  const size_t num_blocks = (candidates.size() + block - 1) / block;
   auto score_block = [&](size_t b) {
-    const size_t begin = b * kBlock;
-    const size_t end = std::min(begin + kBlock, candidates.size());
+    const size_t begin = b * block;
+    const size_t end = std::min(begin + block, candidates.size());
     qk::Arena* arena = qk::Arena::ThreadLocal();
     std::vector<double> member(end - begin);
     std::vector<double> acc(end - begin, 0.0);
-    for (const auto& [q, plan] : plans) {
-      q->ScoreWithKnobsBlock(plan, knobs, begin, end, member.data(), arena);
+    for (const ScoringPlan& plan : plans) {
+      plan.ScoreBlock(knobs, begin, end, member.data(), arena);
+      // Ensemble mean in log space (geometric mean of predicted times).
       for (size_t c = 0; c < member.size(); ++c) {
         acc[c] += std::log1p(std::max(member[c], 0.0));
       }
     }
     for (size_t c = 0; c < acc.size(); ++c) {
-      scores[begin + c] = std::expm1(acc[c] / static_cast<double>(models.size()));
+      scores[begin + c] =
+          std::expm1(acc[c] / static_cast<double>(models.size()));
     }
   };
 
-  if (threads == 1) {
+  if (pool == nullptr) {
     for (size_t b = 0; b < num_blocks; ++b) score_block(b);
-  } else if (threads == 0) {
-    ThreadPool::Shared().ParallelFor(num_blocks, score_block);
   } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(num_blocks, score_block);
+    pool->ParallelFor(num_blocks, score_block);
   }
   return scores;
 }

@@ -50,17 +50,21 @@ struct LiteOptions {
   /// small ensembles damp the winner's curse of argmin over a noisy
   /// estimator and noticeably improve recommendations (see DESIGN.md).
   size_t ensemble_size = 1;
-  /// Worker threads for candidate scoring (0 = one per hardware core,
-  /// 1 = single-threaded). Scores are reduced in candidate order, so the
-  /// recommendation is identical for every value.
+  /// Worker threads for candidate scoring (0 = the shared pool, one worker
+  /// per hardware core; 1 = single-threaded). Scores are reduced in
+  /// candidate order, so the recommendation is identical for every value.
+  /// Any other value scores on ThreadPool::WithThreads(n): one pool per
+  /// distinct count, built on first use, shared by every concurrent request
+  /// asking for that count and kept for the life of the process.
   size_t scoring_threads = 0;
-  /// Batched multi-threaded scoring (featurize once, batch the NECS tower,
-  /// shard candidates across the pool). When false, the legacy scalar loop
-  /// runs instead — same ranking bit for bit, only slower (kept for the
+  /// Batched multi-threaded scoring (featurize once, freeze a scoring plan,
+  /// shard candidate blocks across the pool). When false, the legacy scalar
+  /// loop runs instead — same ranking bit for bit, only slower (kept for the
   /// equivalence tests and the bench_batch_scoring comparison).
   bool batched_scoring = true;
-  /// Scoring-tower backend for candidate ranking. kExactFp32 (default) is
-  /// the autodiff oracle path, bit-identical to prior releases. kInt8/kFp16
+  /// Scoring-tower backend for candidate ranking. kExactFp32 (default)
+  /// scores bit-identically to the autodiff oracle (graph-free plan/block
+  /// tower, same accumulation order). kInt8/kFp16
   /// run the quantized SIMD kernels (tensor/qkernels.h) through lazily
   /// derived model twins — bounded score error (docs/QUANTIZATION.md),
   /// enforced by DiffQuantizationAccuracy. Only applies when
@@ -88,32 +92,23 @@ struct LiteOptions {
 /// Scores `candidates` with an NECS ensemble: entry i is the ensemble-mean
 /// predicted application seconds (geometric mean over models in log space)
 /// of candidates[i] — the quantity LiteSystem ranks by. The application is
-/// featurized once (only knob features vary across candidates), each
-/// model's encoder cache is warmed, and candidates are sharded across
-/// `threads` workers (0 = hardware concurrency) with results reduced in
-/// index order, so the output is deterministic for any thread count.
+/// featurized once (only knob features vary across candidates), each model
+/// freezes a ScoringPlan (lite/necs.h) of the knob-independent feature rows,
+/// and candidate blocks run one tower pass per plan. `backend` picks the
+/// tower: kExactFp32 runs the graph-free fp32 Mlp::ForwardRows and is
+/// bit-identical to scoring each candidate through PredictAppSeconds;
+/// kInt8/kFp16 run each model's quantized twin, whose accuracy vs the exact
+/// path is bounded by the quantization contract (docs/QUANTIZATION.md).
+/// Blocks are sharded across a pool of `threads` workers (0 = the shared
+/// pool, 1 = the calling thread, otherwise ThreadPool::WithThreads) with
+/// results written by index, so the output is deterministic for any thread
+/// count.
 std::vector<double> ScoreCandidatesWithEnsemble(
     const spark::SparkRunner* runner, const Corpus& feature_space,
     const std::vector<const NecsModel*>& models,
     const spark::ApplicationSpec& app, const spark::DataSpec& data,
     const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    size_t threads = 0);
-
-/// Quantized-backend analog of ScoreCandidatesWithEnsemble: same
-/// featurize-once / warm / shard structure, but each model scores through
-/// its quantized twin's ScoringPlan — the knob-independent feature rows are
-/// frozen once per query and every candidate is a template memcpy + knob
-/// writes + quantized GEMM chain out of a thread-local arena (no
-/// CandidateEval copies, no cache lookups, no heap traffic on the hot
-/// path). `backend` must be kInt8 or kFp16. Deterministic for any thread
-/// count; accuracy vs the exact path is bounded by the quantization
-/// contract (docs/QUANTIZATION.md).
-std::vector<double> ScoreCandidatesWithEnsembleQuantized(
-    const spark::SparkRunner* runner, const Corpus& feature_space,
-    const std::vector<const NecsModel*>& models,
-    const spark::ApplicationSpec& app, const spark::DataSpec& data,
-    const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
-    QuantBackend backend, size_t threads = 0);
+    QuantBackend backend = QuantBackend::kExactFp32, size_t threads = 0);
 
 class LiteSystem {
  public:

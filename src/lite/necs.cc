@@ -1,6 +1,8 @@
 #include "lite/necs.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 
@@ -42,6 +44,85 @@ struct NecsMetrics {
   }
 };
 }  // namespace
+
+ScoringPlan ScoringPlan::ForStages(const CandidateEval& base,
+                                   size_t input_dim, size_t out_dim,
+                                   Tower tower) {
+  ScoringPlan plan;
+  plan.num_rows = base.stage_instances.size();
+  plan.input_dim = input_dim;
+  plan.out_dim = out_dim;
+  plan.tower = std::move(tower);
+  plan.rows.assign(plan.num_rows * input_dim, 0.0f);
+  plan.reps.resize(plan.num_rows);
+  if (plan.num_rows == 0) return plan;
+  const StageInstance& first = base.stage_instances[0];
+  plan.knob_offset = first.data_feat.size() + first.env_feat.size();
+  plan.num_knobs = first.knobs.size();
+  for (size_t s = 0; s < plan.num_rows; ++s) {
+    const StageInstance& inst = base.stage_instances[s];
+    LITE_CHECK(inst.data_feat.size() + inst.env_feat.size() ==
+                   plan.knob_offset &&
+               inst.knobs.size() == plan.num_knobs)
+        << "ScoringPlan: stage " << s << " feature widths differ from stage 0";
+    float* row = plan.rows.data() + s * input_dim;
+    size_t off = 0;
+    for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
+    for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
+    plan.reps[s] = s < base.stage_reps.size()
+                       ? static_cast<double>(base.stage_reps[s])
+                       : 1.0;
+  }
+  return plan;
+}
+
+void ScoringPlan::SetEncodings(size_t s, std::span<const float> h_code,
+                               std::span<const float> h_dag) {
+  LITE_CHECK(knob_offset + num_knobs + h_code.size() + h_dag.size() ==
+             input_dim)
+      << "ScoringPlan row width != tower input " << input_dim;
+  float* enc = rows.data() + s * input_dim + knob_offset + num_knobs;
+  enc = std::copy(h_code.begin(), h_code.end(), enc);
+  std::copy(h_dag.begin(), h_dag.end(), enc);
+}
+
+void ScoringPlan::ScoreBlock(const std::vector<std::vector<double>>& knobs,
+                             size_t begin, size_t end, double* out,
+                             qk::Arena* arena) const {
+  const size_t count = end - begin;
+  if (count == 0) return;
+  if (num_rows == 0) {
+    std::fill(out, out + count, 0.0);
+    return;
+  }
+  arena->Reset();
+  // count stacked copies of the template, each with its candidate's knobs.
+  float* x = arena->AllocFloats(count * rows.size());
+  for (size_t c = 0; c < count; ++c) {
+    float* cand = x + c * rows.size();
+    std::memcpy(cand, rows.data(), rows.size() * sizeof(float));
+    const std::vector<double>& k = knobs[begin + c];
+    LITE_CHECK(k.size() == num_knobs)
+        << "ScoringPlan: " << k.size() << " knobs, plan has " << num_knobs;
+    for (size_t s = 0; s < num_rows; ++s) {
+      float* krow = cand + s * input_dim + knob_offset;
+      for (size_t j = 0; j < k.size(); ++j) krow[j] = static_cast<float>(k[j]);
+    }
+  }
+  const size_t stacked = count * num_rows;
+  float* y = arena->AllocFloats(stacked * out_dim);
+  tower(x, stacked, y, arena);
+  // Eq. 5 per candidate, summed in stage order.
+  for (size_t c = 0; c < count; ++c) {
+    const float* cy = y + c * num_rows * out_dim;
+    double total = 0.0;
+    for (size_t s = 0; s < num_rows; ++s) {
+      total +=
+          SecondsFromTarget(static_cast<double>(cy[s * out_dim])) * reps[s];
+    }
+    out[c] = total;
+  }
+}
 
 double StageEstimator::PredictAppSeconds(const CandidateEval& candidate) const {
   double total = 0.0;
@@ -163,7 +244,12 @@ std::pair<Tensor, Tensor> NecsModel::EncodeStage(const StageInstance& inst) cons
   metrics.cache_misses->Inc();
   std::pair<Tensor, Tensor> enc = ComputeEncodings(inst);
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  return cache_.emplace(key, std::move(enc)).first->second;
+  return InsertEncoding(&cache_, std::move(key), std::move(enc));
+}
+
+size_t NecsModel::encoder_cache_size() const {
+  std::shared_lock<std::shared_mutex> lock(cache_mu_);
+  return cache_.size();
 }
 
 void NecsModel::WarmEncoderCache(std::span<const StageInstance> insts) const {
@@ -206,9 +292,24 @@ void NecsModel::WarmEncoderCache(std::span<const StageInstance> insts) const {
       GcnGraph graph = BuildGcnGraph(inst, op_vocab_size_);
       h_dag = gcn_->Forward(graph)->value;
     }
-    cache_.emplace(CacheKey(inst),
+    InsertEncoding(&cache_, CacheKey(inst),
                    std::make_pair(std::move(h_codes[m]), std::move(h_dag)));
   }
+}
+
+ScoringPlan NecsModel::BuildPlan(const CandidateEval& base) const {
+  ScoringPlan plan = ScoringPlan::ForStages(
+      base, mlp_->input_dim(), mlp_->output_dim(),
+      [this](const float* x, size_t rows, float* y, qk::Arena* arena) {
+        mlp_->ForwardRows(x, rows, y, arena);
+      });
+  if (plan.num_rows == 0) return plan;
+  WarmEncoderCache(base.stage_instances);
+  for (size_t s = 0; s < plan.num_rows; ++s) {
+    auto [h_code, h_dag] = EncodeStage(base.stage_instances[s]);
+    plan.SetEncodings(s, h_code.vec(), h_dag.vec());
+  }
+  return plan;
 }
 
 double NecsModel::PredictTarget(const StageInstance& inst) const {
@@ -227,10 +328,14 @@ std::vector<double> NecsModel::PredictBatch(
   metrics.predict_batches->Inc();
   metrics.instances_predicted->Inc(insts.size());
   const size_t in_dim = mlp_->input_dim();
-  Tensor x(insts.size(), in_dim);
+  // Encoder-cache misses run the autodiff encoders, never the arena, so
+  // rows can be filled in place.
+  qk::Arena* arena = qk::Arena::ThreadLocal();
+  arena->Reset();
+  float* x = arena->AllocFloats(insts.size() * in_dim);
   for (size_t b = 0; b < insts.size(); ++b) {
     auto [h_code, h_dag] = EncodeStage(insts[b]);
-    float* row = x.data() + b * in_dim;
+    float* row = x + b * in_dim;
     size_t off = 0;
     for (double v : insts[b].data_feat) row[off++] = static_cast<float>(v);
     for (double v : insts[b].env_feat) row[off++] = static_cast<float>(v);
@@ -240,8 +345,10 @@ std::vector<double> NecsModel::PredictBatch(
     LITE_CHECK(off == in_dim) << "PredictBatch row width " << off
                               << " != MLP input " << in_dim;
   }
-  VarPtr pred = mlp_->ForwardBatch(Input(std::move(x)));
-  for (size_t b = 0; b < out.size(); ++b) out[b] = pred->value.at(b, 0);
+  const size_t out_dim = mlp_->output_dim();
+  float* y = arena->AllocFloats(insts.size() * out_dim);
+  mlp_->ForwardRows(x, insts.size(), y, arena);
+  for (size_t b = 0; b < out.size(); ++b) out[b] = y[b * out_dim];
   return out;
 }
 

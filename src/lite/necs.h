@@ -9,6 +9,7 @@
 #ifndef LITE_LITE_NECS_H_
 #define LITE_LITE_NECS_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -27,6 +28,51 @@
 namespace lite {
 
 class QuantizedNecs;  // lite/qnecs.h
+
+/// Knob-independent scoring template for one query's stage set. Only the
+/// knob vector differs between the candidates of one (app, data, env)
+/// query, so every other input column — data and environment features and
+/// the cached (h_code, h_DAG) encodings — is frozen here once per request
+/// and ensemble member, together with the tower that scores it. Scoring a
+/// candidate block is then template copies, knob writes and one tower pass;
+/// the exact model and its quantized twins build the same layout and differ
+/// only in the tower.
+struct ScoringPlan {
+  /// Maps `rows` stacked input rows `x` (rows x input_dim) to rows x
+  /// out_dim outputs `y`, scratch from `arena`. Every row must be computed
+  /// independently of the others, so block composition never changes a
+  /// score.
+  using Tower = std::function<void(const float* x, size_t rows, float* y,
+                                   qk::Arena* arena)>;
+
+  std::vector<float> rows;  ///< num_rows x input_dim, knob slots zeroed.
+  std::vector<double> reps;  ///< Eq. 5 execution count per stage row.
+  size_t num_rows = 0;
+  size_t input_dim = 0;
+  size_t knob_offset = 0;  ///< first knob column (after data + env).
+  size_t num_knobs = 0;
+  size_t out_dim = 1;
+  Tower tower;  ///< borrows the model that built the plan.
+
+  /// Template rows for `base`'s stages with the data/env features and
+  /// repetition counts filled in; knob and encoding columns stay zero.
+  static ScoringPlan ForStages(const CandidateEval& base, size_t input_dim,
+                               size_t out_dim, Tower tower);
+
+  /// Writes stage s's encoding columns: h_code then h_DAG, which must fill
+  /// the row to its end.
+  void SetEncodings(size_t s, std::span<const float> h_code,
+                    std::span<const float> h_dag);
+
+  /// Predicted application seconds for candidates [begin, end) of `knobs`
+  /// (normalized), written to out[0..end-begin): the stacked template rows
+  /// with each candidate's knobs go through ONE tower pass, and Eq. 5 sums
+  /// each candidate's stage targets in stage order. Bit-identical to the
+  /// model's PredictAppSeconds on the candidate with those knobs. Resets
+  /// `arena`.
+  void ScoreBlock(const std::vector<std::vector<double>>& knobs, size_t begin,
+                  size_t end, double* out, qk::Arena* arena) const;
+};
 
 struct NecsConfig {
   size_t emb_dim = 16;                     ///< D: token embedding size.
@@ -86,18 +132,34 @@ class NecsModel : public Module, public StageEstimator {
   /// instead of B matrix-vector passes. Entry i is bit-identical to
   /// PredictTarget(insts[i]). Thread-safe: the encoder cache is guarded by
   /// a shared mutex, so concurrent PredictBatch/PredictTarget calls are
-  /// allowed (warm the cache first to avoid serializing on misses).
+  /// allowed (warm the cache first to avoid serializing on misses). Runs
+  /// Mlp::ForwardRows in the calling thread's qk::Arena::ThreadLocal(),
+  /// which it resets, so callers must not hold allocations from it.
   std::vector<double> PredictBatch(std::span<const StageInstance> insts) const;
 
   /// Eq. 5 aggregation on the batched path; numerically identical to the
   /// base-class per-stage loop.
   double PredictAppSeconds(const CandidateEval& candidate) const override;
 
+  /// Exact-fp32 scoring plan for `base` (a featurized candidate whose knob
+  /// values are ignored), filled from this model's encoder cache — one
+  /// cache lookup per stage. Warms the cache as a side effect. Its tower is
+  /// the graph-free Mlp::ForwardRows, so ScoreBlock on it is bit-identical
+  /// to PredictAppSeconds. The plan borrows this model.
+  ScoringPlan BuildPlan(const CandidateEval& base) const;
+
   /// Precomputes encoder-cache entries for `insts` (the code encodings of
-  /// all missing stages run as one batched CNN projection). Scoring loops
-  /// call this once before sharding candidates across threads so the
-  /// parallel phase only ever reads the cache.
+  /// all missing stages run as one batched CNN projection). BuildPlan calls
+  /// this before reading a request's encodings, so cold stages cost one
+  /// batched projection instead of one CNN pass each.
   void WarmEncoderCache(std::span<const StageInstance> insts) const;
+
+  /// The encoder cache holds at most this many entries: an insert that
+  /// would exceed it clears the cache first. Fresh workloads key entries on
+  /// continuous data sizes, so an unbounded cache grows with traffic; every
+  /// entry is recomputable bit for bit, so eviction never changes a score.
+  static constexpr size_t kEncoderCacheCap = 2048;
+  size_t encoder_cache_size() const;
 
   /// Knob-independent (h_code, h_DAG) encodings for one stage, served from
   /// the shared encoder cache (computed and inserted on miss — the same
@@ -140,6 +202,18 @@ class NecsModel : public Module, public StageEstimator {
                        const VarPtr& h_dag) const;
   /// Cache identity of an instance's knob-independent encodings.
   static std::string CacheKey(const StageInstance& inst);
+  /// The one insert path into an encoder cache (this model's or a quantized
+  /// twin's): emplaces `value` under `key`, clearing a full cache first.
+  /// Callers hold the cache's unique lock.
+  template <typename Cache, typename Value>
+  static const Value& InsertEncoding(Cache* cache, std::string key,
+                                     Value value) {
+    if (cache->size() >= kEncoderCacheCap && !cache->count(key)) {
+      cache->clear();
+    }
+    return cache->emplace(std::move(key), std::move(value)).first->second;
+  }
+
   /// Computes the (h_code, h_DAG) values for one instance (no caching).
   std::pair<Tensor, Tensor> ComputeEncodings(const StageInstance& inst) const;
   /// Cached (h_code, h_DAG) values; computes and inserts on miss.

@@ -1,7 +1,7 @@
 #include "lite/qnecs.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -82,7 +82,7 @@ std::pair<std::vector<float>, std::vector<float>> QuantizedNecs::EncodeStage(
   if (obs::Enabled()) QNecsMetrics::Get().cache_misses->Inc();
   auto enc = ComputeEncodings(inst);
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  return cache_.emplace(std::move(key), std::move(enc)).first->second;
+  return NecsModel::InsertEncoding(&cache_, std::move(key), std::move(enc));
 }
 
 void QuantizedNecs::WarmEncoderCache(
@@ -121,8 +121,9 @@ void QuantizedNecs::WarmEncoderCache(
       VarPtr v = owner_->gcn_->Forward(graph);
       h_dag.assign(v->value.vec().begin(), v->value.vec().end());
     }
-    cache_.emplace(NecsModel::CacheKey(inst),
-                   std::make_pair(std::move(h_code), std::move(h_dag)));
+    NecsModel::InsertEncoding(
+        &cache_, NecsModel::CacheKey(inst),
+        std::make_pair(std::move(h_code), std::move(h_dag)));
   }
 }
 
@@ -171,100 +172,25 @@ double QuantizedNecs::PredictAppSeconds(const CandidateEval& candidate) const {
   return total;
 }
 
-QuantizedNecs::ScoringPlan QuantizedNecs::BuildPlan(
-    const CandidateEval& base) const {
-  ScoringPlan plan;
-  plan.num_rows = base.stage_instances.size();
-  plan.input_dim = mlp_.input_dim();
-  plan.rows.assign(plan.num_rows * plan.input_dim, 0.0f);
-  plan.reps.resize(plan.num_rows);
-  if (plan.num_rows == 0) return plan;
+ScoringPlan QuantizedNecs::BuildPlan(const CandidateEval& base) const {
+  const size_t num_rows = base.stage_instances.size();
+  ScoringPlan plan = ScoringPlan::ForStages(
+      base, mlp_.input_dim(), mlp_.output_dim(),
+      [this, num_rows](const float* x, size_t rows, float* y,
+                       qk::Arena* arena) {
+        if (obs::Enabled()) {
+          QNecsMetrics::Get().candidates_scored->Inc(rows / num_rows);
+        }
+        mlp_.ForwardBatch(x, rows, y, arena);
+      });
+  if (num_rows == 0) return plan;
   WarmEncoderCache(base.stage_instances);
-  plan.knob_offset = base.stage_instances[0].data_feat.size() +
-                     base.stage_instances[0].env_feat.size();
-  for (size_t s = 0; s < plan.num_rows; ++s) {
-    const StageInstance& inst = base.stage_instances[s];
-    auto [h_code, h_dag] = EncodeStage(inst);
-    float* row = plan.rows.data() + s * plan.input_dim;
-    size_t off = 0;
-    for (double v : inst.data_feat) row[off++] = static_cast<float>(v);
-    for (double v : inst.env_feat) row[off++] = static_cast<float>(v);
-    off += inst.knobs.size();  // knob slots stay zero; filled per candidate.
-    for (float v : h_code) row[off++] = v;
-    for (float v : h_dag) row[off++] = v;
-    LITE_CHECK(off == plan.input_dim)
-        << "ScoringPlan row width " << off << " != MLP input "
-        << plan.input_dim;
-    plan.reps[s] = s < base.stage_reps.size()
-                       ? static_cast<double>(base.stage_reps[s])
-                       : 1.0;
+  for (size_t s = 0; s < num_rows; ++s) {
+    auto [h_code, h_dag] = EncodeStage(base.stage_instances[s]);
+    plan.SetEncodings(s, h_code, h_dag);
   }
   if (obs::Enabled()) QNecsMetrics::Get().plans_built->Inc();
   return plan;
-}
-
-double QuantizedNecs::ScoreWithKnobs(const ScoringPlan& plan,
-                                     const std::vector<double>& knobs,
-                                     qk::Arena* arena) const {
-  if (plan.num_rows == 0) return 0.0;
-  if (obs::Enabled()) QNecsMetrics::Get().candidates_scored->Inc();
-  arena->Reset();
-  const size_t in_dim = plan.input_dim;
-  float* x = arena->AllocFloats(plan.num_rows * in_dim);
-  std::memcpy(x, plan.rows.data(), plan.rows.size() * sizeof(float));
-  for (size_t s = 0; s < plan.num_rows; ++s) {
-    float* krow = x + s * in_dim + plan.knob_offset;
-    for (size_t k = 0; k < knobs.size(); ++k) {
-      krow[k] = static_cast<float>(knobs[k]);
-    }
-  }
-  float* y = arena->AllocFloats(plan.num_rows * mlp_.output_dim());
-  mlp_.ForwardBatch(x, plan.num_rows, y, arena);
-  double total = 0.0;
-  for (size_t s = 0; s < plan.num_rows; ++s) {
-    total += SecondsFromTarget(static_cast<double>(y[s * mlp_.output_dim()])) *
-             plan.reps[s];
-  }
-  return total;
-}
-
-void QuantizedNecs::ScoreWithKnobsBlock(
-    const ScoringPlan& plan, const std::vector<std::vector<double>>& knobs,
-    size_t begin, size_t end, double* out, qk::Arena* arena) const {
-  const size_t count = end - begin;
-  if (count == 0) return;
-  if (plan.num_rows == 0) {
-    for (size_t c = 0; c < count; ++c) out[c] = 0.0;
-    return;
-  }
-  if (obs::Enabled()) QNecsMetrics::Get().candidates_scored->Inc(count);
-  arena->Reset();
-  const size_t in_dim = plan.input_dim;
-  const size_t rows_per = plan.num_rows;
-  float* x = arena->AllocFloats(count * rows_per * in_dim);
-  for (size_t c = 0; c < count; ++c) {
-    float* cand = x + c * rows_per * in_dim;
-    std::memcpy(cand, plan.rows.data(), plan.rows.size() * sizeof(float));
-    const std::vector<double>& k = knobs[begin + c];
-    for (size_t s = 0; s < rows_per; ++s) {
-      float* krow = cand + s * in_dim + plan.knob_offset;
-      for (size_t j = 0; j < k.size(); ++j) {
-        krow[j] = static_cast<float>(k[j]);
-      }
-    }
-  }
-  const size_t out_dim = mlp_.output_dim();
-  float* y = arena->AllocFloats(count * rows_per * out_dim);
-  mlp_.ForwardBatch(x, count * rows_per, y, arena);
-  for (size_t c = 0; c < count; ++c) {
-    double total = 0.0;
-    const float* yc = y + c * rows_per * out_dim;
-    for (size_t s = 0; s < rows_per; ++s) {
-      total += SecondsFromTarget(static_cast<double>(yc[s * out_dim])) *
-               plan.reps[s];
-    }
-    out[c] = total;
-  }
 }
 
 }  // namespace lite

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/logging.h"
+#include "util/text_codec.h"
 
 namespace lite {
 
@@ -72,23 +73,17 @@ bool RenderSnapshotParts(
     add("opvocab.txt", out.str());
   }
   for (size_t i = 0; i < v.members.size(); ++i) {
-    std::ostringstream out;
-    if (!SerializeParams(v.members[i], &out)) return false;
-    add("necs_" + std::to_string(i) + ".txt", out.str());
+    add("necs_" + std::to_string(i) + ".txt", SerializeParams(v.members[i]));
   }
   if (!v.stage_head.empty()) {
-    std::ostringstream out;
-    if (!SerializeParams(v.stage_head, &out)) return false;
-    add("stagehead.txt", out.str());
+    add("stagehead.txt", SerializeParams(v.stage_head));
   }
   {
-    std::ostringstream out;
-    out << "acg v1 " << v.acg->forests().size() << "\n";
-    out.precision(17);
-    for (double s : v.acg->sigmas()) out << s << " ";
-    out << "\n";
+    TextWriter out;
+    out.Put(std::string_view("acg v1 "), v.acg->forests().size(), '\n');
+    for (double s : v.acg->sigmas()) out.Put(s, ' ');
+    out.Put('\n');
     for (const auto& f : v.acg->forests()) SerializeForest(f, &out);
-    if (!out) return false;
     add("acg.txt", out.str());
   }
   {
@@ -231,12 +226,7 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::Load(
     const std::string& dir, const spark::SparkRunner* runner) {
   return LoadFromSource(
       [&dir](const std::string& name, std::string* bytes) {
-        std::ifstream in(dir + "/" + name, std::ios::binary);
-        if (!in) return false;
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        *bytes = ss.str();
-        return true;
+        return ReadWholeFile(dir + "/" + name, bytes);
       },
       runner);
 }
@@ -356,11 +346,10 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
     if (!fetch_part("necs_" + std::to_string(i) + ".txt", &bytes)) {
       return nullptr;
     }
-    std::istringstream in(bytes);
     auto model = std::make_unique<NecsModel>(
         loaded->feature_space_.vocab->size(),
         loaded->feature_space_.op_vocab->size(), necs, /*seed=*/1);
-    if (!DeserializeParams(&in, model->Params())) return nullptr;
+    if (!DeserializeParams(bytes, model->Params())) return nullptr;
     loaded->models_.push_back(std::move(model));
   }
   if (has_stage_head) {
@@ -368,24 +357,24 @@ std::unique_ptr<LoadedLiteModel> LoadedLiteModel::LoadFromSource(
     // above; DeserializeParams rejects any shape mismatch, so a corrupted
     // or truncated stagehead.txt fails the whole load cleanly.
     if (!fetch_part("stagehead.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
     auto head = std::make_unique<StageHead>(necs.code_dim, necs.gcn_hidden,
                                             /*seed=*/1);
-    if (!DeserializeParams(&in, head->Params())) return nullptr;
+    if (!DeserializeParams(bytes, head->Params())) return nullptr;
     loaded->stage_head_ = std::move(head);
   }
   {
     if (!fetch_part("acg.txt", &bytes)) return nullptr;
-    std::istringstream in(bytes);
-    std::string magic, version;
+    TextReader in(bytes);
+    std::string_view magic, version;
     size_t count = 0;
-    if (!(in >> magic >> version >> count) || magic != "acg" || version != "v1") {
+    if (!in.Token(&magic) || !in.Token(&version) || !in.Get(&count) ||
+        magic != "acg" || version != "v1") {
       return nullptr;
     }
     if (count != spark::KnobSpace::Spark16().size()) return nullptr;
     std::vector<double> sigmas(count);
     for (double& s : sigmas) {
-      if (!(in >> s)) return nullptr;
+      if (!in.Get(&s)) return nullptr;
     }
     std::vector<RandomForestRegressor> forests(count);
     for (auto& f : forests) {

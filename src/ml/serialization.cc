@@ -1,9 +1,5 @@
 #include "ml/serialization.h"
 
-#include <fstream>
-#include <iostream>
-#include <sstream>
-
 #include "util/atomic_file.h"
 
 namespace lite {
@@ -12,35 +8,37 @@ namespace {
 constexpr char kMagic[] = "litemodel";
 constexpr char kVersion[] = "v1";
 
-bool ReadHeader(std::istream* is, const std::string& kind) {
-  std::string magic, version, k;
-  if (!(*is >> magic >> version >> k)) return false;
+bool ReadHeader(TextReader* in, std::string_view kind) {
+  std::string_view magic, version, k;
+  if (!in->Token(&magic) || !in->Token(&version) || !in->Token(&k)) {
+    return false;
+  }
   return magic == kMagic && version == kVersion && k == kind;
 }
 
-void WriteHeader(std::ostream* os, const std::string& kind) {
-  *os << kMagic << " " << kVersion << " " << kind << "\n";
+void WriteHeader(TextWriter* out, std::string_view kind) {
+  out->Put(std::string_view(kMagic), ' ', std::string_view(kVersion), ' ',
+           kind, '\n');
 }
 }  // namespace
 
-void SerializeTree(const DecisionTreeRegressor& tree, std::ostream* os) {
-  WriteHeader(os, "tree");
-  os->precision(17);
+void SerializeTree(const DecisionTreeRegressor& tree, TextWriter* out) {
+  WriteHeader(out, "tree");
   const auto& nodes = tree.nodes();
-  *os << nodes.size() << "\n";
+  out->Put(nodes.size(), '\n');
   for (const auto& n : nodes) {
-    *os << n.feature << " " << n.threshold << " " << n.value << " " << n.left
-        << " " << n.right << "\n";
+    out->Put(n.feature, ' ', n.threshold, ' ', n.value, ' ', n.left, ' ',
+             n.right, '\n');
   }
 }
 
-bool DeserializeTree(std::istream* is, DecisionTreeRegressor* tree) {
-  if (!ReadHeader(is, "tree")) return false;
+bool DeserializeTree(TextReader* in, DecisionTreeRegressor* tree) {
+  if (!ReadHeader(in, "tree")) return false;
   size_t count = 0;
-  if (!(*is >> count) || count > 10'000'000) return false;
+  if (!in->Get(&count) || count > 10'000'000) return false;
   std::vector<DecisionTreeRegressor::Node> nodes(count);
   for (auto& n : nodes) {
-    if (!(*is >> n.feature >> n.threshold >> n.value >> n.left >> n.right)) {
+    if (!in->Get(&n.feature, &n.threshold, &n.value, &n.left, &n.right)) {
       return false;
     }
     long max_id = static_cast<long>(count);
@@ -51,40 +49,39 @@ bool DeserializeTree(std::istream* is, DecisionTreeRegressor* tree) {
   return true;
 }
 
-void SerializeForest(const RandomForestRegressor& forest, std::ostream* os) {
-  WriteHeader(os, "forest");
-  *os << forest.trees().size() << "\n";
-  for (const auto& t : forest.trees()) SerializeTree(t, os);
+void SerializeForest(const RandomForestRegressor& forest, TextWriter* out) {
+  WriteHeader(out, "forest");
+  out->Put(forest.trees().size(), '\n');
+  for (const auto& t : forest.trees()) SerializeTree(t, out);
 }
 
-bool DeserializeForest(std::istream* is, RandomForestRegressor* forest) {
-  if (!ReadHeader(is, "forest")) return false;
+bool DeserializeForest(TextReader* in, RandomForestRegressor* forest) {
+  if (!ReadHeader(in, "forest")) return false;
   size_t count = 0;
-  if (!(*is >> count) || count > 100'000) return false;
+  if (!in->Get(&count) || count > 100'000) return false;
   std::vector<DecisionTreeRegressor> trees(count);
   for (auto& t : trees) {
-    if (!DeserializeTree(is, &t)) return false;
+    if (!DeserializeTree(in, &t)) return false;
   }
   forest->set_trees(std::move(trees));
   return true;
 }
 
-void SerializeGbdt(const GbdtRegressor& gbdt, std::ostream* os) {
-  WriteHeader(os, "gbdt");
-  os->precision(17);
-  *os << gbdt.base_prediction() << " " << gbdt.learning_rate() << " "
-      << gbdt.trees().size() << "\n";
-  for (const auto& t : gbdt.trees()) SerializeTree(t, os);
+void SerializeGbdt(const GbdtRegressor& gbdt, TextWriter* out) {
+  WriteHeader(out, "gbdt");
+  out->Put(gbdt.base_prediction(), ' ', gbdt.learning_rate(), ' ',
+           gbdt.trees().size(), '\n');
+  for (const auto& t : gbdt.trees()) SerializeTree(t, out);
 }
 
-bool DeserializeGbdt(std::istream* is, GbdtRegressor* gbdt) {
-  if (!ReadHeader(is, "gbdt")) return false;
+bool DeserializeGbdt(TextReader* in, GbdtRegressor* gbdt) {
+  if (!ReadHeader(in, "gbdt")) return false;
   double base = 0.0, lr = 0.0;
   size_t count = 0;
-  if (!(*is >> base >> lr >> count) || count > 100'000) return false;
+  if (!in->Get(&base, &lr, &count) || count > 100'000) return false;
   std::vector<DecisionTreeRegressor> trees(count);
   for (auto& t : trees) {
-    if (!DeserializeTree(is, &t)) return false;
+    if (!DeserializeTree(in, &t)) return false;
   }
   gbdt->RestoreState(base, lr, std::move(trees));
   return true;
@@ -93,26 +90,32 @@ bool DeserializeGbdt(std::istream* is, GbdtRegressor* gbdt) {
 bool SaveForestToFile(const RandomForestRegressor& forest, const std::string& path) {
   AtomicFileWriter w(path);
   if (!w.ok()) return false;
-  SerializeForest(forest, &w.stream());
+  TextWriter out;
+  SerializeForest(forest, &out);
+  w.stream() << out.str();
   return w.Commit();
 }
 
 bool LoadForestFromFile(const std::string& path, RandomForestRegressor* forest) {
-  std::ifstream in(path);
-  if (!in) return false;
+  std::string text;
+  if (!ReadWholeFile(path, &text)) return false;
+  TextReader in(text);
   return DeserializeForest(&in, forest);
 }
 
 bool SaveGbdtToFile(const GbdtRegressor& gbdt, const std::string& path) {
   AtomicFileWriter w(path);
   if (!w.ok()) return false;
-  SerializeGbdt(gbdt, &w.stream());
+  TextWriter out;
+  SerializeGbdt(gbdt, &out);
+  w.stream() << out.str();
   return w.Commit();
 }
 
 bool LoadGbdtFromFile(const std::string& path, GbdtRegressor* gbdt) {
-  std::ifstream in(path);
-  if (!in) return false;
+  std::string text;
+  if (!ReadWholeFile(path, &text)) return false;
+  TextReader in(text);
   return DeserializeGbdt(&in, gbdt);
 }
 

@@ -28,6 +28,15 @@ VarPtr Linear::Forward(const VarPtr& x) const {
   return AddBias(MatMul(x, w_), b_);
 }
 
+void Linear::ForwardRows(const float* x, size_t rows, float* y) const {
+  MatMulRows(x, w_->value.data(), y, rows, in_dim_, out_dim_);
+  const float* bias = b_->value.data();
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = y + r * out_dim_;
+    for (size_t c = 0; c < out_dim_; ++c) row[c] += bias[c];
+  }
+}
+
 Mlp::Mlp(size_t input_dim, size_t num_hidden, size_t output_dim, Rng* rng,
          bool sigmoid_output)
     : input_dim_(input_dim), sigmoid_output_(sigmoid_output) {
@@ -58,17 +67,24 @@ MlpOutput Mlp::Forward(const VarPtr& x) const {
   return res;
 }
 
-VarPtr Mlp::ForwardBatch(const VarPtr& x) const {
-  using namespace ops;
-  LITE_CHECK(x->value.rank() == 2 && x->value.shape()[1] == input_dim_)
-      << "ForwardBatch input must be B x " << input_dim_;
-  VarPtr h = x;
+void Mlp::ForwardRows(const float* x, size_t rows, float* y,
+                      qk::Arena* arena) const {
+  const float* h = x;
   for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    h = Relu(layers_[l].Forward(h));
+    const size_t width = layers_[l].out_dim();
+    float* next = arena->AllocFloats(rows * width);
+    layers_[l].ForwardRows(h, rows, next);
+    for (size_t i = 0; i < rows * width; ++i) {
+      next[i] = next[i] > 0.0f ? next[i] : 0.0f;
+    }
+    h = next;
   }
-  VarPtr out = layers_.back().Forward(h);
-  if (sigmoid_output_) out = Sigmoid(out);
-  return out;
+  layers_.back().ForwardRows(h, rows, y);
+  if (sigmoid_output_) {
+    for (size_t i = 0; i < rows * output_dim(); ++i) {
+      y[i] = 1.0f / (1.0f + std::exp(-y[i]));
+    }
+  }
 }
 
 std::vector<VarPtr> Mlp::Params() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "tensor/arena.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -17,6 +18,10 @@ class Linear : public Module {
   Linear(size_t in_dim, size_t out_dim, Rng* rng);
 
   VarPtr Forward(const VarPtr& x) const;
+
+  /// Graph-free inference over `rows` row-major inputs: y = x W + b, the
+  /// same MatMul loop and bias add Forward runs, without autodiff nodes.
+  void ForwardRows(const float* x, size_t rows, float* y) const;
 
   std::vector<VarPtr> Params() const override { return {w_, b_}; }
   size_t in_dim() const { return in_dim_; }
@@ -48,12 +53,15 @@ class Mlp : public Module {
 
   MlpOutput Forward(const VarPtr& x) const;
 
-  /// Batched tower pass: `x` is B x input_dim, the result B x output_dim.
-  /// One matrix-matrix product per layer replaces B matrix-vector passes;
-  /// row b is bit-identical to Forward on row b alone (MatMul accumulates
-  /// per row in the same order regardless of batch size). Hidden
-  /// activations are not exposed — this is the inference fast path.
-  VarPtr ForwardBatch(const VarPtr& x) const;
+  /// Batched inference pass over raw row-major buffers: `x` is
+  /// rows x input_dim, `y` receives rows x output_dim, hidden activations
+  /// come from `arena` (callers Reset it). No autodiff nodes; one
+  /// matrix-matrix product per layer replaces `rows` matrix-vector passes,
+  /// and row r is bit-identical to Forward on row r alone (the same layer
+  /// chain, MatMul loop order, bias add and activations, with every row
+  /// accumulated independently of the others).
+  void ForwardRows(const float* x, size_t rows, float* y,
+                   qk::Arena* arena) const;
 
   /// Convenience when hidden activations are not needed.
   VarPtr Predict(const VarPtr& x) const { return Forward(x).output; }
@@ -61,6 +69,7 @@ class Mlp : public Module {
   std::vector<VarPtr> Params() const override;
   size_t hidden_concat_dim() const { return hidden_concat_dim_; }
   size_t input_dim() const { return input_dim_; }
+  size_t output_dim() const { return layers_.back().out_dim(); }
 
  private:
   size_t input_dim_ = 0;

@@ -1,57 +1,54 @@
 #include "nn/module.h"
 
-#include <fstream>
-
 #include "util/atomic_file.h"
 #include "util/logging.h"
+#include "util/text_codec.h"
 
 namespace lite {
 
-bool SerializeParams(const std::vector<VarPtr>& params, std::ostream* os) {
-  std::ostream& out = *os;
-  out << params.size() << "\n";
-  out.precision(9);
+std::string SerializeParams(const std::vector<VarPtr>& params) {
+  TextWriter out;
+  out.Put(params.size(), '\n');
   for (const auto& p : params) {
-    out << p->value.rank();
-    for (size_t d : p->value.shape()) out << " " << d;
-    out << "\n";
+    out.Put(p->value.rank());
+    for (size_t d : p->value.shape()) out.Put(' ', d);
+    out.Put('\n');
     for (size_t i = 0; i < p->numel(); ++i) {
-      out << p->value[i] << (i + 1 == p->numel() ? "\n" : " ");
+      out.Put(p->value[i], i + 1 == p->numel() ? '\n' : ' ');
     }
   }
-  return static_cast<bool>(out);
+  return out.Take();
 }
 
-bool DeserializeParams(std::istream* is, const std::vector<VarPtr>& params) {
-  std::istream& in = *is;
+bool DeserializeParams(std::string_view text,
+                       const std::vector<VarPtr>& params) {
+  TextReader in(text);
   size_t count = 0;
-  in >> count;
-  if (count != params.size()) return false;
+  if (!in.Get(&count) || count != params.size()) return false;
   for (const auto& p : params) {
     size_t rank = 0;
-    in >> rank;
-    if (rank != p->value.rank()) return false;
+    if (!in.Get(&rank) || rank != p->value.rank()) return false;
     for (size_t d = 0; d < rank; ++d) {
       size_t dim = 0;
-      in >> dim;
-      if (dim != p->value.shape()[d]) return false;
+      if (!in.Get(&dim) || dim != p->value.shape()[d]) return false;
     }
-    for (size_t i = 0; i < p->numel(); ++i) in >> p->value[i];
+    for (size_t i = 0; i < p->numel(); ++i) {
+      if (!in.Get(&p->value[i])) return false;
+    }
   }
-  return static_cast<bool>(in);
+  return in.AtEnd();
 }
 
 bool SaveParams(const std::vector<VarPtr>& params, const std::string& path) {
   AtomicFileWriter w(path);
   if (!w.ok()) return false;
-  if (!SerializeParams(params, &w.stream())) return false;
+  w.stream() << SerializeParams(params);
   return w.Commit();
 }
 
 bool LoadParams(const std::vector<VarPtr>& params, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  return DeserializeParams(&in, params);
+  std::string text;
+  return ReadWholeFile(path, &text) && DeserializeParams(text, params);
 }
 
 void CopyParams(const std::vector<VarPtr>& src, const std::vector<VarPtr>& dst) {

@@ -2,8 +2,8 @@
 #ifndef LITE_NN_MODULE_H_
 #define LITE_NN_MODULE_H_
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/autodiff.h"
@@ -25,12 +25,13 @@ class Module {
   }
 };
 
-/// Stream form of the parameter codec (shape + floats, 9 significant
-/// digits — exact binary32 round-trip). Returns false when the stream goes
-/// bad; SerializeParams leaves partial output behind on failure, so file
-/// writers must stage through util/atomic_file.h.
-bool SerializeParams(const std::vector<VarPtr>& params, std::ostream* os);
-bool DeserializeParams(std::istream* is, const std::vector<VarPtr>& params);
+/// In-memory form of the parameter codec (shape + floats, 9 significant
+/// digits — exact binary32 round-trip; util/text_codec.h). The reader
+/// rejects shape mismatches, malformed or non-finite numbers, truncation and
+/// trailing content; on failure `params` may be partially overwritten.
+std::string SerializeParams(const std::vector<VarPtr>& params);
+bool DeserializeParams(std::string_view text,
+                       const std::vector<VarPtr>& params);
 
 /// Writes parameter tensors to a simple text format (shape + floats).
 /// Atomic: stages to `<path>.tmp.<pid>` and renames on success, so a crash

@@ -57,7 +57,7 @@ void RunQuantizedLayer(const QuantizedLayer& layer, QuantBackend mode,
                        qk::Arena* arena);
 
 /// Quantized tower MLP: hidden layers ReLU, linear head — the structure of
-/// Mlp::ForwardBatch on quantized weights.
+/// Mlp::ForwardRows on quantized weights.
 struct QuantizedMlp {
   QuantBackend mode = QuantBackend::kInt8;
   std::vector<QuantizedLayer> layers;

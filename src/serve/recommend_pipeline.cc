@@ -57,13 +57,8 @@ std::vector<double> ScoreCandidateSet(
     const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
     const ScoringOptions& options) {
   if (options.batched) {
-    if (options.backend != QuantBackend::kExactFp32) {
-      return ScoreCandidatesWithEnsembleQuantized(
-          runner, feature_space, models, app, data, env, candidates,
-          options.backend, options.threads);
-    }
     return ScoreCandidatesWithEnsemble(runner, feature_space, models, app,
-                                       data, env, candidates,
+                                       data, env, candidates, options.backend,
                                        options.threads);
   }
   if (options.backend != QuantBackend::kExactFp32) {

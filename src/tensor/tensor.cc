@@ -91,10 +91,12 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
   LITE_CHECK(b.shape()[0] == k) << "MatMul inner dim mismatch";
   LITE_CHECK(c->rank() == 2 && c->shape()[0] == m && c->shape()[1] == n)
       << "MatMul output shape mismatch";
-  c->Zero();
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c->data();
+  MatMulRows(a.data(), b.data(), c->data(), m, k, n);
+}
+
+void MatMulRows(const float* ap, const float* bp, float* cp, size_t m,
+                size_t k, size_t n) {
+  std::fill(cp, cp + m * n, 0.0f);
   for (size_t i = 0; i < m; ++i) {
     for (size_t p = 0; p < k; ++p) {
       float av = ap[i * k + p];

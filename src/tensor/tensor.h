@@ -84,6 +84,12 @@ class Tensor {
 
 /// C = A * B for 2D tensors (rows_a x k) * (k x cols_b). Asserts shapes.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c);
+/// Raw-buffer form of MatMul over row-major m x k and k x n operands into
+/// m x n: the one loop MatMul runs (rows independent, each accumulated over
+/// k in order, zero activations skipped), so graph-free inference that
+/// calls it is bit-identical to the autodiff forward.
+void MatMulRows(const float* a, const float* b, float* c, size_t m, size_t k,
+                size_t n);
 /// C += A^T * B.
 void MatMulTransposeAAccum(const Tensor& a, const Tensor& b, Tensor* c);
 /// C += A * B^T.

@@ -14,6 +14,7 @@
 #include "sparksim/eventlog.h"
 #include "sparksim/resilient_runner.h"
 #include "sparksim/trace.h"
+#include "util/thread_pool.h"
 
 namespace lite::testkit {
 
@@ -59,7 +60,7 @@ DiffResult DiffScoringThreadCounts(
   for (size_t threads : thread_counts) {
     std::vector<double> scores = ScoreCandidatesWithEnsemble(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        threads);
+        QuantBackend::kExactFp32, threads);
     if (reference.empty()) {
       reference = scores;
       reference_threads = threads;
@@ -74,6 +75,50 @@ DiffResult DiffScoringThreadCounts(
                     std::to_string(reference_threads) + " thread(s) -> " +
                     Fmt(reference[i]) + " but " + std::to_string(threads) +
                     " thread(s) -> " + Fmt(scores[i]));
+      }
+    }
+  }
+  return {};
+}
+
+DiffResult DiffPlanVsScalar(const spark::SparkRunner* runner,
+                            const Corpus& feature_space,
+                            const std::vector<const NecsModel*>& models,
+                            const WorkloadTuple& t,
+                            const std::vector<spark::Config>& candidates,
+                            const std::vector<size_t>& thread_counts) {
+  serve::ScoringOptions scalar_opts;
+  scalar_opts.batched = false;
+  std::vector<double> reference = serve::ScoreCandidateSet(
+      runner, feature_space, models, *t.app, t.data, t.env, candidates,
+      scalar_opts);
+  for (size_t threads : thread_counts) {
+    for (bool in_pool_task : {false, true}) {
+      auto score = [&] {
+        return ScoreCandidatesWithEnsemble(runner, feature_space, models,
+                                           *t.app, t.data, t.env, candidates,
+                                           QuantBackend::kExactFp32, threads);
+      };
+      std::vector<double> plan;
+      if (in_pool_task) {
+        ThreadPool::Shared().Submit([&] { plan = score(); }).get();
+      } else {
+        plan = score();
+      }
+      const std::string where = std::to_string(threads) + " thread(s)" +
+                                (in_pool_task ? " inside a pool task" : "");
+      if (plan.size() != reference.size()) {
+        return Fail("plan path returned " + std::to_string(plan.size()) +
+                    " scores for " + std::to_string(reference.size()) +
+                    " candidates at " + where);
+      }
+      for (size_t i = 0; i < plan.size(); ++i) {
+        if (plan[i] != reference[i]) {
+          return Fail("candidate " + std::to_string(i) + " of " +
+                      std::to_string(plan.size()) + " at " + where +
+                      ": plan " + Fmt(plan[i]) + " != scalar " +
+                      Fmt(reference[i]));
+        }
       }
     }
   }
@@ -102,7 +147,7 @@ DiffResult DiffObservabilityTransparency(
   for (size_t threads : thread_counts) {
     off_scores.push_back(ScoreCandidatesWithEnsemble(
         &runner, system.corpus(), models, *t.app, t.data, t.env, candidates,
-        threads));
+        QuantBackend::kExactFp32, threads));
   }
   LiteSystem::Recommendation off_rec = system.Recommend(*t.app, t.data, t.env);
 
@@ -114,7 +159,7 @@ DiffResult DiffObservabilityTransparency(
   for (size_t threads : thread_counts) {
     on_scores.push_back(ScoreCandidatesWithEnsemble(
         &runner, system.corpus(), models, *t.app, t.data, t.env, candidates,
-        threads));
+        QuantBackend::kExactFp32, threads));
   }
   LiteSystem::Recommendation on_rec = system.Recommend(*t.app, t.data, t.env);
   recorder.Stop();
@@ -307,7 +352,8 @@ DiffResult DiffQuantizationAccuracy(
                           std::string(t.app->name);
 
   std::vector<double> exact = ScoreCandidatesWithEnsemble(
-      runner, feature_space, models, *t.app, t.data, t.env, candidates, 1);
+      runner, feature_space, models, *t.app, t.data, t.env, candidates,
+      QuantBackend::kExactFp32, 1);
 
   // Thread-count invariance of the quantized path.
   std::vector<double> quant;
@@ -315,7 +361,7 @@ DiffResult DiffQuantizationAccuracy(
   std::vector<size_t> counts =
       thread_counts.empty() ? std::vector<size_t>{1} : thread_counts;
   for (size_t threads : counts) {
-    std::vector<double> scores = ScoreCandidatesWithEnsembleQuantized(
+    std::vector<double> scores = ScoreCandidatesWithEnsemble(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
         backend, threads);
     if (scores.size() != candidates.size()) {
@@ -350,7 +396,7 @@ DiffResult DiffQuantizationAccuracy(
       for (const NecsModel* m : models) {
         m->Quantized(backend)->InvalidateCache();
       }
-      by_isa.push_back(ScoreCandidatesWithEnsembleQuantized(
+      by_isa.push_back(ScoreCandidatesWithEnsemble(
           runner, feature_space, models, *t.app, t.data, t.env, candidates,
           backend, 1));
     }
@@ -393,7 +439,7 @@ DiffResult DiffQuantTransparency(
   for (size_t threads : thread_counts) {
     std::vector<double> reference = ScoreCandidatesWithEnsemble(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        threads);
+        QuantBackend::kExactFp32, threads);
     serve::ScoringOptions opts;
     opts.threads = threads;
     std::vector<double> batched = serve::ScoreCandidateSet(

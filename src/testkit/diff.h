@@ -44,6 +44,19 @@ DiffResult DiffScoringThreadCounts(
     const std::vector<spark::Config>& candidates,
     const std::vector<size_t>& thread_counts);
 
+/// Exact scoring plan vs the scalar reference (ScoreCandidateSet with
+/// batched=false: per-candidate featurization, one autodiff forward per
+/// stage): the graph-free plan/block path must reproduce every score bit
+/// for bit, for each thread count in `thread_counts`, called from outside
+/// any pool and again from inside a shared-pool task (where the scorer runs
+/// its blocks inline).
+DiffResult DiffPlanVsScalar(const spark::SparkRunner* runner,
+                            const Corpus& feature_space,
+                            const std::vector<const NecsModel*>& models,
+                            const WorkloadTuple& t,
+                            const std::vector<spark::Config>& candidates,
+                            const std::vector<size_t>& thread_counts);
+
 /// Observability transparency: ScoreCandidatesWithEnsemble and Recommend
 /// must be bit-identical with observability disabled vs enabled (metrics +
 /// a live trace recording), for every thread count in `thread_counts`.

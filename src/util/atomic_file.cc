@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <sstream>
 
 #ifdef _WIN32
 #include <process.h>
@@ -93,6 +94,15 @@ bool WriteFileAtomic(const std::string& path,
   if (!w.ok()) return false;
   if (!writer(w.stream())) return false;
   return w.Commit();
+}
+
+bool ReadWholeFile(const std::string& path, std::string* bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *bytes = ss.str();
+  return true;
 }
 
 }  // namespace lite

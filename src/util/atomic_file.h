@@ -80,6 +80,10 @@ class AtomicFileWriter {
 bool WriteFileAtomic(const std::string& path,
                      const std::function<bool(std::ostream&)>& writer);
 
+/// Reads the whole file at `path` into `bytes`; false when it cannot be
+/// opened. The read side of the files the writers above commit.
+bool ReadWholeFile(const std::string& path, std::string* bytes);
+
 /// Test hook: arms a one-shot failure on the n-th subsequent Stage()
 /// (1 = the next one; Commit() counts, since it stages first). The doomed
 /// write flushes the temp file, then fails *before* the rename and unlinks

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
 
 #include "obs/metrics.h"
 
@@ -47,8 +48,12 @@ ThreadPool::ThreadPool(size_t num_threads) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
+  slots_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    slots_.push_back(std::make_unique<WakeSlot>());
+  }
+  for (size_t i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -56,17 +61,27 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    for (size_t w : idle_) slots_[w]->woken = true;
+    idle_.clear();
   }
-  cv_.notify_all();
+  for (auto& slot : slots_) slot->cv.notify_one();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(size_t index) {
+  WakeSlot& slot = *slots_[index];
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      // Park on this worker's own slot. Whoever wakes it has already popped
+      // it off the idle stack; if the task it was woken for was taken by a
+      // worker that finished first, it simply parks again on top.
+      while (!stop_ && tasks_.empty()) {
+        slot.woken = false;
+        idle_.push_back(index);
+        slot.cv.wait(lock, [&slot] { return slot.woken; });
+      }
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop_front();
@@ -79,16 +94,33 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ThreadPool::Enqueue(std::function<void()> task) {
+  WakeSlot* wake = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    PoolMetrics::Get().queue_depth->Set(static_cast<double>(tasks_.size()));
+    // No idle worker means every worker is running a task; each re-checks
+    // the queue under this mutex before parking, so nothing is lost.
+    if (!idle_.empty()) {
+      wake = slots_[idle_.back()].get();
+      idle_.pop_back();
+      wake->woken = true;
+    }
+  }
+  PoolMetrics::Get().tasks_submitted->Inc();
+  if (wake != nullptr) wake->cv.notify_one();
+}
+
+size_t ThreadPool::idle_workers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return idle_.size();
+}
+
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
   auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
   std::future<void> fut = packaged->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.emplace_back([packaged] { (*packaged)(); });
-    PoolMetrics::Get().queue_depth->Set(static_cast<double>(tasks_.size()));
-  }
-  PoolMetrics::Get().tasks_submitted->Inc();
-  cv_.notify_one();
+  Enqueue([packaged] { (*packaged)(); });
   return fut;
 }
 
@@ -138,18 +170,11 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     state->pending = helpers;
   }
   for (size_t h = 0; h < helpers; ++h) {
-    std::function<void()> helper = [state, drain] {
+    Enqueue([state, drain] {
       drain();
       std::lock_guard<std::mutex> lock(state->mu);
       if (--state->pending == 0) state->done.notify_all();
-    };
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.emplace_back(std::move(helper));
-      metrics.queue_depth->Set(static_cast<double>(tasks_.size()));
-    }
-    metrics.tasks_submitted->Inc();
-    cv_.notify_one();
+    });
   }
 
   drain();  // The caller works too instead of just blocking.
@@ -161,6 +186,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = new ThreadPool();
+  return *pool;
+}
+
+ThreadPool& ThreadPool::WithThreads(size_t num_threads) {
+  if (num_threads == 0) return Shared();
+  static std::mutex mu;
+  static auto* pools = new std::map<size_t, std::unique_ptr<ThreadPool>>();
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<ThreadPool>& pool = (*pools)[num_threads];
+  if (!pool) pool = std::make_unique<ThreadPool>(num_threads);
   return *pool;
 }
 

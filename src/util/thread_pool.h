@@ -8,6 +8,12 @@
 // inside a worker task runs the loop inline (no deadlock on nested
 // submission); empty submissions return immediately.
 //
+// Wake-up order: every worker waits on its own wake slot, and idle workers
+// form a stack. A submission wakes the most recently idled worker (LIFO),
+// so a trickle of one-at-a-time tasks keeps landing on the same warm
+// worker instead of rotating through every thread and preempting whatever
+// the other threads run.
+//
 // Observability: pools export threadpool_tasks_{submitted,executed}_total,
 // threadpool_parallel_{for,for_inline,iterations}_total and the
 // threadpool_queue_depth gauge through obs::MetricsRegistry::Global()
@@ -21,6 +27,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,16 +68,34 @@ class ThreadPool {
     return out;
   }
 
+  /// Workers currently parked with nothing to run.
+  size_t idle_workers() const;
+
   /// Process-wide pool sized to the hardware; lives for the process.
   static ThreadPool& Shared();
 
+  /// Process-wide pool with `num_threads` workers, built on first use and
+  /// kept for the process (0 = Shared()). Callers that take a thread count
+  /// per call use this instead of spawning a pool per call. Every distinct
+  /// count keeps its own parked workers until exit, and concurrent callers
+  /// asking for the same count share that one set of workers.
+  static ThreadPool& WithThreads(size_t num_threads);
+
  private:
-  void WorkerLoop();
+  struct WakeSlot {
+    std::condition_variable cv;
+    bool woken = false;
+  };
+
+  void WorkerLoop(size_t index);
+  /// Queues `task` and wakes the most recently idled worker, if any.
+  void Enqueue(std::function<void()> task);
 
   std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<WakeSlot>> slots_;  ///< one per worker.
+  std::vector<size_t> idle_;  ///< stack of parked workers; back = newest.
   std::deque<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  mutable std::mutex mu_;
   bool stop_ = false;
 };
 

@@ -116,11 +116,12 @@ TEST_F(BatchInferenceTest, ScoresIdenticalScalarVsBatchedAndAcrossThreads) {
   // Thread count must not change a single bit of the reduction.
   std::vector<const NecsModel*> models{batched_->model()};
   std::vector<double> one_thread = ScoreCandidatesWithEnsemble(
-      runner_, batched_->corpus(), models, *app, data, env, candidates, 1);
+      runner_, batched_->corpus(), models, *app, data, env, candidates,
+      QuantBackend::kExactFp32, 1);
   for (size_t threads : {2u, 4u, 8u}) {
     std::vector<double> many = ScoreCandidatesWithEnsemble(
         runner_, batched_->corpus(), models, *app, data, env, candidates,
-        threads);
+        QuantBackend::kExactFp32, threads);
     ASSERT_EQ(many.size(), one_thread.size());
     for (size_t i = 0; i < many.size(); ++i) {
       EXPECT_EQ(many[i], one_thread[i]) << "threads=" << threads << " i=" << i;
@@ -221,6 +222,70 @@ TEST_F(BatchInferenceTest, RecommendScoresAUniqueCandidateSet) {
   LiteSystem::Recommendation rec = batched_->Recommend(*app, data, env);
   EXPECT_EQ(rec.candidates_evaluated, feasible.size());
   EXPECT_LE(rec.candidates_evaluated, batched_->options().num_candidates);
+}
+
+TEST_F(BatchInferenceTest, EncoderCacheStaysBoundedAndEvictionIsInvisible) {
+  const NecsModel* model = batched_->model();
+  const auto* app = spark::AppCatalog::Find("PR");
+  spark::DataSpec data = app->MakeData(app->test_size_mb);
+  const spark::ClusterEnv env = spark::ClusterEnv::ClusterB();
+  std::vector<spark::Config> candidates = SomeCandidates(48, 29);
+  std::vector<const NecsModel*> models{model};
+  CandidateEval ce = CorpusBuilder(runner_).FeaturizeCandidate(
+      batched_->corpus(), *app, data, env, candidates[0]);
+  ASSERT_GE(ce.stage_instances.size(), 2u);
+
+  model->InvalidateCache();
+  std::vector<double> reference = ScoreCandidatesWithEnsemble(
+      runner_, batched_->corpus(), models, *app, data, env, candidates,
+      QuantBackend::kExactFp32, 1);
+  std::pair<Tensor, Tensor> embedding =
+      model->StageEncodings(ce.stage_instances[1]);
+
+  // Fill the cache to one entry short of the cap with distinct data sizes
+  // (continuous sizes are what grow it in serving), never passing the cap.
+  model->InvalidateCache();
+  const size_t cap = NecsModel::kEncoderCacheCap;
+  std::vector<StageInstance> filler;
+  for (size_t i = 0; i + 1 < cap; ++i) {
+    StageInstance inst = ce.stage_instances[0];
+    inst.size_mb = 10000.0 + static_cast<double>(i);
+    filler.push_back(std::move(inst));
+    if (filler.size() == 256) {
+      model->WarmEncoderCache(filler);
+      filler.clear();
+      EXPECT_LE(model->encoder_cache_size(), cap);
+    }
+  }
+  model->WarmEncoderCache(filler);
+  ASSERT_EQ(model->encoder_cache_size(), cap - 1);
+
+  // The request's own stage encodings reach the cap and evict mid-request:
+  // every score must still match the cold-cache reference bit for bit.
+  for (size_t threads : {1u, 4u}) {
+    std::vector<double> scores = ScoreCandidatesWithEnsemble(
+        runner_, batched_->corpus(), models, *app, data, env, candidates,
+        QuantBackend::kExactFp32, threads);
+    EXPECT_LE(model->encoder_cache_size(), ce.stage_instances.size());
+    ASSERT_EQ(scores.size(), reference.size());
+    for (size_t i = 0; i < scores.size(); ++i) {
+      EXPECT_EQ(scores[i], reference[i]) << "threads=" << threads << " i=" << i;
+    }
+  }
+  // Retrieval embeddings read StageEncodings: recomputed entries are the
+  // same bits as the evicted ones.
+  std::pair<Tensor, Tensor> again = model->StageEncodings(ce.stage_instances[1]);
+  EXPECT_EQ(again.first.vec(), embedding.first.vec());
+  EXPECT_EQ(again.second.vec(), embedding.second.vec());
+
+  // Single-entry inserts respect the cap too.
+  for (size_t i = 0; i < cap + 8; ++i) {
+    StageInstance inst = ce.stage_instances[0];
+    inst.size_mb = 20000.0 + static_cast<double>(i);
+    model->StageEncodings(inst);
+    ASSERT_LE(model->encoder_cache_size(), cap) << "insert " << i;
+  }
+  model->InvalidateCache();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,74 @@ TEST(StageTuningDifferentialTest, EnabledButUnusedIsBitIdentical) {
                       << SeedNote();
   }
   std::filesystem::remove_all(dir);
+}
+
+// The exact scoring plan (frozen template rows + graph-free tower blocks)
+// against the scalar reference, bit for bit: pool sizes that straddle the
+// 32-candidate block (and one far past it), a 3-member ensemble, thread
+// counts 1/2/shared called from outside and inside a pool task, and each
+// encoder ablated — whose all-zero encoding columns exercise MatMul's
+// zero-activation skip in the tower's first layer.
+class PlanScoringDifferentialTest : public ::testing::Test {
+ protected:
+  std::unique_ptr<LiteSystem> Train(size_t ensemble, bool code, bool dag) {
+    LiteOptions opts;
+    opts.corpus.apps = {"TS", "PR"};
+    opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
+    opts.corpus.configs_per_setting = 2;
+    opts.corpus.max_stage_instances_per_run = 5;
+    opts.corpus.max_code_tokens = 64;
+    opts.necs.emb_dim = 8;
+    opts.necs.cnn_widths = {3, 4};
+    opts.necs.cnn_kernels = 6;
+    opts.necs.code_dim = 12;
+    opts.necs.gcn_hidden = 8;
+    opts.necs.use_code_encoder = code;
+    opts.necs.use_dag_encoder = dag;
+    opts.train.epochs = 1;
+    opts.ensemble_size = ensemble;
+    auto system = std::make_unique<LiteSystem>(&runner_, opts);
+    system->TrainOffline();
+    return system;
+  }
+
+  void Check(const LiteSystem& system, const std::vector<size_t>& sizes,
+             uint64_t salt) {
+    std::vector<const NecsModel*> models;
+    for (size_t m = 0; m < system.ensemble_size(); ++m) {
+      models.push_back(system.ensemble_member(m));
+    }
+    GenOptions gopts;
+    gopts.apps = {"TS", "PR", "KM"};
+    testkit::TupleGenerator gen(gopts, testkit::SeedFromEnv() + salt);
+    const auto& space = spark::KnobSpace::Spark16();
+    for (size_t n : sizes) {
+      WorkloadTuple t = gen.Next();
+      std::vector<spark::Config> candidates{t.config};
+      while (candidates.size() < n) {
+        candidates.push_back(space.RandomConfig(gen.rng()));
+      }
+      DiffResult r = testkit::DiffPlanVsScalar(
+          &runner_, system.corpus(), models, t, candidates, {1, 2, 0});
+      ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe()
+                        << "\n  " << SeedNote();
+    }
+  }
+
+  spark::SparkRunner runner_;
+};
+
+TEST_F(PlanScoringDifferentialTest, EnsembleMatchesScalarReference) {
+  std::unique_ptr<LiteSystem> system = Train(3, true, true);
+  ASSERT_EQ(system->ensemble_size(), 3u);
+  Check(*system, {1, 16, 31, 32, 33, 1000}, 21);
+}
+
+TEST_F(PlanScoringDifferentialTest, AblatedEncodersMatchScalarReference) {
+  for (bool code : {false, true}) {
+    std::unique_ptr<LiteSystem> system = Train(1, code, !code);
+    Check(*system, {1, 16, 31, 32, 33, 1000}, code ? 23 : 22);
+  }
 }
 
 // Runner-level differentials need no trained model: sweep the full catalog,

@@ -310,7 +310,11 @@ TEST(QuantizedMlpTest, ForwardBatchTracksExactMlp) {
   Mlp mlp(input_dim, 3, 1, &rng);
   Tensor x(batch, input_dim);
   for (float& v : x.vec()) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
-  Tensor exact = mlp.ForwardBatch(Input(x))->value;
+  std::vector<float> exact(batch);
+  {
+    qk::Arena arena;
+    mlp.ForwardRows(x.data(), batch, exact.data(), &arena);
+  }
 
   for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
     QuantizedMlp q = QuantizedMlp::From(mlp, mode);
@@ -321,7 +325,7 @@ TEST(QuantizedMlpTest, ForwardBatchTracksExactMlp) {
     q.ForwardBatch(x.data(), batch, y.data(), &arena);
     double bound = mode == QuantBackend::kInt8 ? 0.15 : 0.01;
     for (size_t b = 0; b < batch; ++b) {
-      double e = exact.vec()[b];
+      double e = exact[b];
       EXPECT_NEAR(y[b], e, bound * (1.0 + std::fabs(e)))
           << QuantBackendName(mode) << " row " << b << "; " << SeedNote();
     }
@@ -451,12 +455,13 @@ TEST_F(QuantTest, ScoringPlanPathIsBitIdenticalToSlowPath) {
     ASSERT_FALSE(ce.stage_instances.empty());
     for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
       const QuantizedNecs* twin = system_->model()->Quantized(mode);
-      QuantizedNecs::ScoringPlan plan = twin->BuildPlan(ce);
+      ScoringPlan plan = twin->BuildPlan(ce);
       EXPECT_EQ(plan.num_rows, ce.stage_instances.size());
       std::vector<double> knobs = space.Normalize(t.config);
       for (auto& inst : ce.stage_instances) inst.knobs = knobs;
       qk::Arena arena;
-      double fast = twin->ScoreWithKnobs(plan, knobs, &arena);
+      double fast = 0.0;
+      plan.ScoreBlock({knobs}, 0, 1, &fast, &arena);
       double slow = twin->PredictAppSeconds(ce);
       EXPECT_EQ(fast, slow)
           << QuantBackendName(mode) << " tuple " << t.Describe() << "; "
@@ -519,13 +524,14 @@ TEST_F(QuantTest, Top1AgreementOnGolden45CellMatrix) {
           spark::ClusterEnv::ClusterC()}) {
       ++cells;
       std::vector<double> exact = ScoreCandidatesWithEnsemble(
-          runner_, system_->corpus(), models, app, data, env, pool, 1);
+          runner_, system_->corpus(), models, app, data, env, pool,
+          QuantBackend::kExactFp32, 1);
       size_t exact_best = 0;
       for (size_t i = 1; i < exact.size(); ++i) {
         if (exact[i] < exact[exact_best]) exact_best = i;
       }
       for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-        std::vector<double> quant = ScoreCandidatesWithEnsembleQuantized(
+        std::vector<double> quant = ScoreCandidatesWithEnsemble(
             runner_, system_->corpus(), models, app, data, env, pool, mode, 1);
         size_t quant_best = 0;
         for (size_t i = 1; i < quant.size(); ++i) {
@@ -559,7 +565,7 @@ TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
     opts.backend = mode;
     std::vector<double> routed = serve::ScoreCandidateSet(
         runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
-    std::vector<double> direct = ScoreCandidatesWithEnsembleQuantized(
+    std::vector<double> direct = ScoreCandidatesWithEnsemble(
         runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, mode,
         1);
     EXPECT_EQ(routed, direct) << QuantBackendName(mode);
@@ -569,7 +575,8 @@ TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
     std::vector<double> fallback = serve::ScoreCandidateSet(
         runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
     std::vector<double> exact = ScoreCandidatesWithEnsemble(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, 1);
+        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool,
+        QuantBackend::kExactFp32, 1);
     EXPECT_EQ(fallback, exact) << QuantBackendName(mode);
   }
 }
@@ -596,7 +603,7 @@ TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
     for (size_t m = 0; m < fresh->ensemble_size(); ++m) {
       fresh_models.push_back(fresh->model(m));
     }
-    std::vector<double> want = ScoreCandidatesWithEnsembleQuantized(
+    std::vector<double> want = ScoreCandidatesWithEnsemble(
         runner_, fresh->feature_space(), fresh_models, *t.app, t.data, t.env,
         pool, mode, 1);
     ASSERT_TRUE(SaveQuantizedSnapshot(*fresh, mode, dir));
@@ -611,7 +618,7 @@ TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
     for (size_t m = 0; m < shipped->ensemble_size(); ++m) {
       shipped_models.push_back(shipped->model(m));
     }
-    std::vector<double> got = ScoreCandidatesWithEnsembleQuantized(
+    std::vector<double> got = ScoreCandidatesWithEnsemble(
         runner_, shipped->feature_space(), shipped_models, *t.app, t.data,
         t.env, pool, mode, 1);
     EXPECT_EQ(got, want) << "shipped quantized tensors drifted; "

@@ -551,7 +551,7 @@ struct QSnapshotFixture {
   std::vector<double> Score() const {
     SnapshotFixture& base = SnapshotFixture::Get();
     std::vector<const NecsModel*> models = {model->model(0)};
-    return ScoreCandidatesWithEnsembleQuantized(
+    return ScoreCandidatesWithEnsemble(
         &base.runner, model->feature_space(), models, *app, data, env, pool,
         QuantBackend::kInt8, 1);
   }

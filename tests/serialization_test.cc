@@ -30,10 +30,11 @@ TEST(SerializationTest, TreeRoundtrip) {
   DecisionTreeRegressor tree;
   tree.Fit(x, y, &rng);
 
-  std::stringstream ss;
-  SerializeTree(tree, &ss);
+  TextWriter out;
+  SerializeTree(tree, &out);
+  TextReader in(out.str());
   DecisionTreeRegressor loaded;
-  ASSERT_TRUE(DeserializeTree(&ss, &loaded));
+  ASSERT_TRUE(DeserializeTree(&in, &loaded));
   EXPECT_EQ(loaded.NumNodes(), tree.NumNodes());
   for (int i = 0; i < 50; ++i) {
     std::vector<double> q{rng.Uniform(), rng.Uniform(), rng.Uniform()};
@@ -69,10 +70,11 @@ TEST(SerializationTest, GbdtRoundtrip) {
   GbdtRegressor gbdt(GbdtOptions{.num_rounds = 20});
   gbdt.Fit(x, y, &rng);
 
-  std::stringstream ss;
-  SerializeGbdt(gbdt, &ss);
+  TextWriter out;
+  SerializeGbdt(gbdt, &out);
+  TextReader in(out.str());
   GbdtRegressor loaded;
-  ASSERT_TRUE(DeserializeGbdt(&ss, &loaded));
+  ASSERT_TRUE(DeserializeGbdt(&in, &loaded));
   for (int i = 0; i < 20; ++i) {
     std::vector<double> q{rng.Uniform(), rng.Uniform()};
     EXPECT_DOUBLE_EQ(loaded.Predict(q), gbdt.Predict(q));
@@ -80,17 +82,17 @@ TEST(SerializationTest, GbdtRoundtrip) {
 }
 
 TEST(SerializationTest, RejectsCorruptInput) {
-  std::stringstream bad1("nonsense");
+  TextReader bad1("nonsense");
   DecisionTreeRegressor t;
   EXPECT_FALSE(DeserializeTree(&bad1, &t));
   // Out-of-range child index.
-  std::stringstream bad2("litemodel v1 tree\n1\n0 0.5 1.0 5 6\n");
+  TextReader bad2("litemodel v1 tree\n1\n0 0.5 1.0 5 6\n");
   EXPECT_FALSE(DeserializeTree(&bad2, &t));
   // Split node without children.
-  std::stringstream bad3("litemodel v1 tree\n1\n0 0.5 1.0 -1 -1\n");
+  TextReader bad3("litemodel v1 tree\n1\n0 0.5 1.0 -1 -1\n");
   EXPECT_FALSE(DeserializeTree(&bad3, &t));
   RandomForestRegressor f;
-  std::stringstream bad4("litemodel v1 gbdt\n0 0 0\n");
+  TextReader bad4("litemodel v1 gbdt\n0 0 0\n");
   EXPECT_FALSE(DeserializeForest(&bad4, &f));
 }
 

@@ -5,6 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -100,6 +103,86 @@ TEST(ThreadPoolTest, ManyConcurrentLoopsFromSubmittedTasks) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(total.load(), 600);
+}
+
+// Blocks until every worker of `pool` is parked, so the next submission
+// sees a settled idle stack.
+void WaitAllIdle(const ThreadPool& pool) {
+  while (pool.idle_workers() != pool.size()) std::this_thread::yield();
+}
+
+TEST(ThreadPoolTest, SequentialSubmitsRunOnOneWorker) {
+  // LIFO wake-up: the worker that just finished is on top of the idle
+  // stack, so strictly one-at-a-time submissions never rotate through the
+  // other workers.
+  ThreadPool pool(4);
+  WaitAllIdle(pool);
+  std::thread::id first;
+  for (int i = 0; i < 50; ++i) {
+    std::thread::id ran_on;
+    pool.Submit([&] { ran_on = std::this_thread::get_id(); }).get();
+    if (i == 0) first = ran_on;
+    EXPECT_EQ(ran_on, first) << "submission " << i;
+    WaitAllIdle(pool);
+  }
+}
+
+TEST(ThreadPoolTest, ShutdownWithIdleWorkersJoins) {
+  for (size_t threads : {1u, 2u, 4u}) {
+    auto pool = std::make_unique<ThreadPool>(threads);
+    WaitAllIdle(*pool);
+    EXPECT_EQ(pool->idle_workers(), threads);
+    pool.reset();  // must wake and join every parked worker.
+  }
+  // Shutdown right after a burst: queued work still runs to completion.
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 64; ++i) pool.Submit([&] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPoolTest, NoLostWakeUpWhenEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  auto blocker = [&] {
+    started.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  };
+  std::future<void> a = pool.Submit(blocker);
+  std::future<void> b = pool.Submit(blocker);
+  while (started.load() < 2) std::this_thread::yield();
+  EXPECT_EQ(pool.idle_workers(), 0u);
+  // Queued while nobody is parked: a finishing worker must pick these up.
+  std::atomic<int> late{0};
+  std::vector<std::future<void>> queued;
+  for (int i = 0; i < 8; ++i) {
+    queued.push_back(pool.Submit([&] { late.fetch_add(1); }));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  a.get();
+  b.get();
+  for (auto& f : queued) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  }
+  EXPECT_EQ(late.load(), 8);
+}
+
+TEST(ThreadPoolTest, WithThreadsReusesOnePoolPerSize) {
+  ThreadPool& two = ThreadPool::WithThreads(2);
+  EXPECT_EQ(two.size(), 2u);
+  EXPECT_EQ(&ThreadPool::WithThreads(2), &two);
+  EXPECT_NE(&ThreadPool::WithThreads(3), &two);
+  EXPECT_EQ(&ThreadPool::WithThreads(0), &ThreadPool::Shared());
 }
 
 TEST(ThreadPoolTest, SharedPoolIsUsableAndSized) {
