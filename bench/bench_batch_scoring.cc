@@ -1,9 +1,10 @@
-// Candidate-scoring throughput: the legacy scalar loop (per-candidate
-// featurization + per-stage autodiff towers) against the batched path
-// (featurize once, cached encoders, one matrix-matrix tower pass per
-// candidate) single-threaded and sharded across the thread pool. Both
-// systems train with identical seeds, so the score vectors must match bit
-// for bit — the harness verifies that before it reports any timing.
+// Candidate-scoring throughput: the scalar reference loop
+// (testkit::ScalarReferenceScores — per-candidate featurization + per-stage
+// autodiff towers) against the batched plan path (featurize once, cached
+// encoders, one tower pass per candidate block) single-threaded and sharded
+// across the thread pool. All three score the same trained model, so the
+// score vectors must match bit for bit — the harness verifies that before
+// it reports any timing.
 //
 // Acceptance (printed at the end): at the 1000-candidate pool the batched
 // multi-threaded path is >= 5x the scalar loop with an identical argmin.
@@ -12,6 +13,7 @@
 #include <thread>
 
 #include "bench/bench_common.h"
+#include "testkit/diff.h"
 
 using namespace lite;
 using namespace lite::bench;
@@ -25,15 +27,13 @@ double TimeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-LiteOptions ScoringOptions(const ScaleProfile& profile, bool batched) {
+LiteOptions ScoringOptions(const ScaleProfile& profile) {
   LiteOptions opts;
   opts.corpus = MakeCorpusOptions(profile, {"TS", "PR", "KM"},
                                   {spark::ClusterEnv::ClusterA()});
   opts.necs = profile.necs;
   opts.train.epochs = profile.name == "smoke" ? 3 : 8;
   opts.ensemble_size = 1;  // throughput comparison; ensembles scale both paths.
-  opts.batched_scoring = batched;
-  opts.scoring_threads = batched ? 0 : 1;
   return opts;
 }
 
@@ -46,11 +46,8 @@ int main() {
             << ", cores=" << cores << ")\n";
 
   spark::SparkRunner runner;
-  // Identical seeds -> bit-identical weights; only the scoring path differs.
-  LiteSystem batched(&runner, ScoringOptions(profile, true));
+  LiteSystem batched(&runner, ScoringOptions(profile));
   batched.TrainOffline();
-  LiteSystem scalar(&runner, ScoringOptions(profile, false));
-  scalar.TrainOffline();
 
   const auto* app = spark::AppCatalog::Find("PR");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
@@ -78,8 +75,10 @@ int main() {
     }
 
     std::vector<double> s_scores, b1_scores, bm_scores;
-    double t_scalar = TimeSeconds(
-        [&] { s_scores = scalar.ScoreCandidates(*app, data, env, candidates); });
+    double t_scalar = TimeSeconds([&] {
+      s_scores = testkit::ScalarReferenceScores(
+          &runner, batched.corpus(), models, *app, data, env, candidates);
+    });
     batched.model()->InvalidateCache();
     double t_b1 = TimeSeconds([&] {
       b1_scores = ScoreCandidatesWithEnsemble(

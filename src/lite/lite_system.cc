@@ -224,7 +224,6 @@ std::vector<double> LiteSystem::ScoreCandidates(
   return serve::ScoreCandidateSet(
       runner_, corpus_, models, app, data, env, candidates,
       serve::ScoringOptions{.threads = options_.scoring_threads,
-                            .batched = options_.batched_scoring,
                             .backend = options_.scoring_backend});
 }
 

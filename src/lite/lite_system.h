@@ -57,18 +57,11 @@ struct LiteOptions {
   /// distinct count, built on first use, shared by every concurrent request
   /// asking for that count and kept for the life of the process.
   size_t scoring_threads = 0;
-  /// Batched multi-threaded scoring (featurize once, freeze a scoring plan,
-  /// shard candidate blocks across the pool). When false, the legacy scalar
-  /// loop runs instead — same ranking bit for bit, only slower (kept for the
-  /// equivalence tests and the bench_batch_scoring comparison).
-  bool batched_scoring = true;
   /// Scoring-tower backend for candidate ranking. kExactFp32 (default)
   /// scores bit-identically to the autodiff oracle (graph-free plan/block
-  /// tower, same accumulation order). kInt8/kFp16
-  /// run the quantized SIMD kernels (tensor/qkernels.h) through lazily
-  /// derived model twins — bounded score error (docs/QUANTIZATION.md),
-  /// enforced by DiffQuantizationAccuracy. Only applies when
-  /// `batched_scoring` is on; the legacy scalar loop is always exact.
+  /// tower, same accumulation order). kInt8 runs the quantized SIMD kernels
+  /// (tensor/qkernels.h) through lazily derived model twins — bounded score
+  /// error (docs/QUANTIZATION.md), enforced by DiffQuantizationAccuracy.
   QuantBackend scoring_backend = QuantBackend::kExactFp32;
   /// SLA deadline on predicted runtime, threaded into the recommend
   /// pipeline: finite values filter candidates predicted slower than the
@@ -97,7 +90,7 @@ struct LiteOptions {
 /// and candidate blocks run one tower pass per plan. `backend` picks the
 /// tower: kExactFp32 runs the graph-free fp32 Mlp::ForwardRows and is
 /// bit-identical to scoring each candidate through PredictAppSeconds;
-/// kInt8/kFp16 run each model's quantized twin, whose accuracy vs the exact
+/// kInt8 runs each model's quantized twin, whose accuracy vs the exact
 /// path is bounded by the quantization contract (docs/QUANTIZATION.md).
 /// Blocks are sharded across a pool of `threads` workers (0 = the shared
 /// pool, 1 = the calling thread, otherwise ThreadPool::WithThreads) with
@@ -161,10 +154,9 @@ class LiteSystem {
       const std::vector<spark::StageEvent>& observed) const;
 
   /// Scores an explicit candidate list (entry i = predicted application
-  /// seconds of candidates[i]) on the configured scoring path — batched and
-  /// sharded across `LiteOptions::scoring_threads` by default, the legacy
-  /// scalar loop when `batched_scoring` is off. Both paths return
-  /// bit-identical scores; Recommend() is argmin over this vector.
+  /// seconds of candidates[i]) with the configured backend, sharded across
+  /// `LiteOptions::scoring_threads`; Recommend() is argmin over this
+  /// vector.
   std::vector<double> ScoreCandidates(
       const spark::ApplicationSpec& app, const spark::DataSpec& data,
       const spark::ClusterEnv& env,

@@ -156,30 +156,20 @@ void NecsModel::InvalidateCache() const {
     std::unique_lock<std::shared_mutex> lock(cache_mu_);
     cache_.clear();
   }
-  // Quantized twins are derived from the weights the cache was derived
-  // from: any invalidation drops them too, and the next Quantized() call
+  // The quantized twin is derived from the weights the cache was derived
+  // from: any invalidation drops it too, and the next Quantized() call
   // re-quantizes from the fresh parameters.
   std::lock_guard<std::mutex> lock(twin_mu_);
-  twin_int8_.reset();
-  twin_fp16_.reset();
+  twin_.reset();
 }
 
 const QuantizedNecs* NecsModel::Quantized(QuantBackend backend) const {
-  LITE_CHECK(backend != QuantBackend::kExactFp32)
-      << "NecsModel::Quantized(kExactFp32): the model itself is the exact path";
+  LITE_CHECK(backend == QuantBackend::kInt8)
+      << "NecsModel::Quantized(" << QuantBackendName(backend)
+      << "): int8 is the only quantized backend";
   std::lock_guard<std::mutex> lock(twin_mu_);
-  std::unique_ptr<QuantizedNecs>& slot =
-      backend == QuantBackend::kInt8 ? twin_int8_ : twin_fp16_;
-  if (!slot) slot = std::make_unique<QuantizedNecs>(*this, backend);
-  return slot.get();
-}
-
-void NecsModel::AdoptQuantizedTwin(std::unique_ptr<QuantizedNecs> twin) const {
-  LITE_CHECK(twin != nullptr) << "AdoptQuantizedTwin(nullptr)";
-  std::lock_guard<std::mutex> lock(twin_mu_);
-  std::unique_ptr<QuantizedNecs>& slot =
-      twin->mode() == QuantBackend::kInt8 ? twin_int8_ : twin_fp16_;
-  slot = std::move(twin);
+  if (!twin_) twin_ = std::make_unique<QuantizedNecs>(*this);
+  return twin_.get();
 }
 
 VarPtr NecsModel::AssembleInput(const StageInstance& inst, const VarPtr& h_code,

@@ -111,7 +111,7 @@ class NecsModel : public Module, public StageEstimator {
   /// `op_vocab_size` is S (one-hot width becomes S+1).
   NecsModel(size_t token_vocab_size, size_t op_vocab_size, NecsConfig config,
             uint64_t seed);
-  ~NecsModel();  // out of line: unique_ptr<QuantizedNecs> members.
+  ~NecsModel();  // out of line: unique_ptr<QuantizedNecs> member.
 
   struct ForwardResult {
     VarPtr pred;    ///< scalar, log1p-seconds space.
@@ -171,19 +171,16 @@ class NecsModel : public Module, public StageEstimator {
     return EncodeStage(inst);
   }
 
-  /// Clears the encoder cache AND drops the lazily-built quantized twins:
+  /// Clears the encoder cache AND drops the lazily-built quantized twin:
   /// any parameter change invalidates both.
   void InvalidateCache() const;
 
-  /// Lazily-built quantized twin for `backend` (kInt8 or kFp16), derived
-  /// from the current FP32 weights and cached until InvalidateCache().
-  /// Thread-safe; the returned twin stays valid until the next parameter
-  /// change on this model.
+  /// Lazily-built int8 twin (`backend` must be kInt8), derived from the
+  /// current FP32 weights and cached until InvalidateCache(). Twins are
+  /// never persisted: a loaded or plane-installed model derives the same
+  /// twin from its fp32 weights on first use. Thread-safe; the returned twin
+  /// stays valid until the next parameter change on this model.
   const QuantizedNecs* Quantized(QuantBackend backend) const;
-
-  /// Installs a pre-built twin in the slot matching its mode (used by the
-  /// QuantizedSnapshot loader, which ships quantized weights directly).
-  void AdoptQuantizedTwin(std::unique_ptr<QuantizedNecs> twin) const;
 
   /// Replaces the token-embedding table with pretrained vectors (rows must
   /// match the token vocabulary, columns the configured emb_dim). Call
@@ -226,11 +223,10 @@ class NecsModel : public Module, public StageEstimator {
   std::unique_ptr<Mlp> mlp_;
   mutable std::shared_mutex cache_mu_;
   mutable std::unordered_map<std::string, std::pair<Tensor, Tensor>> cache_;
-  /// Quantized twins, built on first use per backend; guarded by twin_mu_
-  /// (separate from cache_mu_ so twin construction never blocks scoring).
+  /// The int8 twin, built on first use; guarded by twin_mu_ (separate from
+  /// cache_mu_ so twin construction never blocks scoring).
   mutable std::mutex twin_mu_;
-  mutable std::unique_ptr<QuantizedNecs> twin_int8_;
-  mutable std::unique_ptr<QuantizedNecs> twin_fp16_;
+  mutable std::unique_ptr<QuantizedNecs> twin_;
 };
 
 struct TrainOptions {

@@ -10,6 +10,7 @@ namespace lite {
 
 namespace {
 struct QNecsMetrics {
+  obs::Counter* twins_built;
   obs::Counter* cache_misses;
   obs::Counter* candidates_scored;
   obs::Counter* plans_built;
@@ -18,6 +19,7 @@ struct QNecsMetrics {
     static const QNecsMetrics* m = [] {
       auto& reg = obs::MetricsRegistry::Global();
       return new QNecsMetrics{
+          reg.GetCounter("qnecs_twins_built_total"),
           reg.GetCounter("qnecs_encoder_cache_misses_total"),
           reg.GetCounter("qnecs_candidates_scored_total"),
           reg.GetCounter("qnecs_plans_built_total"),
@@ -28,25 +30,14 @@ struct QNecsMetrics {
 };
 }  // namespace
 
-QuantizedNecs::QuantizedNecs(const NecsModel& model, QuantBackend mode)
-    : owner_(&model), mode_(mode) {
-  LITE_CHECK(mode != QuantBackend::kExactFp32)
-      << "QuantizedNecs: exact mode is the fp32 model itself";
+QuantizedNecs::QuantizedNecs(const NecsModel& model) : owner_(&model) {
+  // Without the code encoder the ablation produces zero encodings, so the
+  // CNN twin stays empty.
   if (model.config_.use_code_encoder) {
-    cnn_ = QuantizedTextCnn::From(*model.cnn_, mode);
-  } else {
-    cnn_.mode = mode;  // unused; ablation produces zero encodings.
+    cnn_ = QuantizedTextCnn::From(*model.cnn_);
   }
-  mlp_ = QuantizedMlp::From(*model.mlp_, mode);
-}
-
-QuantizedNecs::QuantizedNecs(const NecsModel& model, QuantBackend mode,
-                             QuantizedTextCnn cnn, QuantizedMlp mlp)
-    : owner_(&model), mode_(mode), cnn_(std::move(cnn)), mlp_(std::move(mlp)) {
-  LITE_CHECK(mode != QuantBackend::kExactFp32) << "QuantizedNecs: exact mode";
-  LITE_CHECK(mlp_.input_dim() == model.mlp_->input_dim())
-      << "adopted quantized MLP input " << mlp_.input_dim() << " != model "
-      << model.mlp_->input_dim();
+  mlp_ = QuantizedMlp::From(*model.mlp_);
+  if (obs::Enabled()) QNecsMetrics::Get().twins_built->Inc();
 }
 
 std::pair<std::vector<float>, std::vector<float>>

@@ -1,6 +1,6 @@
 // QuantizedNecs: the quantized inference twin of NecsModel.
 //
-// A twin owns quantized copies of the knob-dependent tower (MLP) and the
+// A twin owns int8 copies of the knob-dependent tower (MLP) and the
 // code encoder (TextCNN); the GCN stays exact fp32 — it is tiny, runs only
 // on encoder-cache misses, and its output is cached, so quantizing it would
 // buy nothing. The twin keeps its OWN encoder cache: quantized encodings
@@ -9,7 +9,8 @@
 //
 // Twins are derived lazily from the owning NecsModel's current weights
 // (NecsModel::Quantized) and dropped on InvalidateCache(), so any parameter
-// change (training, adaptive update, CopyParams) rebuilds them. The serving
+// change (training, adaptive update, CopyParams, a snapshot load or a plane
+// install) rebuilds them; they are never persisted. The serving
 // path scores candidates through the same ScoringPlan layout as the exact
 // model (lite/necs.h): the knob-independent feature template is assembled
 // once per query, and each candidate block only copies the template, writes
@@ -32,17 +33,9 @@ namespace lite {
 
 class QuantizedNecs {
  public:
-  /// Quantizes `model`'s current weights for `mode` (kInt8 or kFp16).
-  /// `model` must outlive the twin (NecsModel owns its twins).
-  QuantizedNecs(const NecsModel& model, QuantBackend mode);
-  /// Adopts pre-built quantized weights (the QuantizedSnapshot loader);
-  /// shapes must match `model`'s configuration.
-  QuantizedNecs(const NecsModel& model, QuantBackend mode, QuantizedTextCnn cnn,
-                QuantizedMlp mlp);
-
-  QuantBackend mode() const { return mode_; }
-  const QuantizedTextCnn& cnn() const { return cnn_; }
-  const QuantizedMlp& mlp() const { return mlp_; }
+  /// Quantizes `model`'s current weights to int8. `model` must outlive the
+  /// twin (NecsModel owns its twin).
+  explicit QuantizedNecs(const NecsModel& model);
 
   /// Quantized analog of NecsModel::PredictBatch (same row assembly, same
   /// cache-key discipline, quantized tower). Thread-safe.
@@ -77,7 +70,6 @@ class QuantizedNecs {
       const StageInstance& inst) const;
 
   const NecsModel* owner_;
-  QuantBackend mode_;
   QuantizedTextCnn cnn_;
   QuantizedMlp mlp_;
   mutable std::shared_mutex cache_mu_;

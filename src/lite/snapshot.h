@@ -59,7 +59,7 @@ bool EncodeSnapshotBlobs(const LiteSystem& system,
 /// A restored, recommend-ready subset of LiteSystem. Recommend() runs the
 /// same serve::RunRecommendPipeline as LiteSystem — identical candidate
 /// stream, metrics, spans and argmin semantics — and honours the same
-/// scoring options (thread count, batched vs scalar path).
+/// scoring options (thread count, backend).
 ///
 /// Forward compatibility: Load() skips unknown meta.txt keys with a
 /// warning (consuming the rest of the line), so snapshots written by newer
@@ -147,7 +147,7 @@ class LoadedLiteModel {
                                         const spark::ClusterEnv& env) const;
 
   /// Scoring options used by Recommend/ScoreCandidates (defaults match
-  /// LiteOptions: batched, one worker per core).
+  /// LiteOptions: exact backend, one worker per core).
   const serve::ScoringOptions& scoring() const { return scoring_; }
   void set_scoring(const serve::ScoringOptions& s) { scoring_ = s; }
 

@@ -10,7 +10,7 @@
 // much lighter than full planning.
 //
 // The head always evaluates in exact fp32, whatever scoring backend
-// (exact/int8/fp16) the app-level pipeline uses: per-stage planning is
+// (exact/int8) the app-level pipeline uses: per-stage planning is
 // therefore bit-identical across backends by construction, which is the
 // parity leg of DiffStageTuningTransparency.
 #ifndef LITE_LITE_STAGE_HEAD_H_

@@ -12,60 +12,32 @@ const char* QuantBackendName(QuantBackend backend) {
       return "exact";
     case QuantBackend::kInt8:
       return "int8";
-    case QuantBackend::kFp16:
-      return "fp16";
   }
   return "unknown";
 }
 
-bool ParseQuantBackend(const std::string& name, QuantBackend* out) {
-  if (name == "exact" || name == "fp32") {
-    *out = QuantBackend::kExactFp32;
-  } else if (name == "int8") {
-    *out = QuantBackend::kInt8;
-  } else if (name == "fp16") {
-    *out = QuantBackend::kFp16;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 QuantizedLayer QuantizeOutByIn(const float* w, size_t out, size_t in,
-                               const float* bias, QuantBackend mode) {
+                               const float* bias) {
   QuantizedLayer layer;
   layer.in = in;
   layer.out = out;
-  if (mode == QuantBackend::kInt8) {
-    layer.q8 = qk::QuantizeRowsInt8(w, out, in);
-  } else if (mode == QuantBackend::kFp16) {
-    layer.f16 = qk::PackHalf(w, out, in);
-  } else {
-    LITE_CHECK(false) << "QuantizeOutByIn: exact mode has no quantized layer";
-  }
+  layer.q8 = qk::QuantizeRowsInt8(w, out, in);
   layer.bias.assign(bias, bias + out);
   return layer;
 }
 
 QuantizedLayer QuantizeInByOut(const float* w, size_t in, size_t out,
-                               const float* bias, QuantBackend mode) {
+                               const float* bias) {
   std::vector<float> t(out * in);
   for (size_t i = 0; i < in; ++i) {
     for (size_t j = 0; j < out; ++j) t[j * in + i] = w[i * out + j];
   }
-  return QuantizeOutByIn(t.data(), out, in, bias, mode);
+  return QuantizeOutByIn(t.data(), out, in, bias);
 }
 
-void RunQuantizedLayer(const QuantizedLayer& layer, QuantBackend mode,
-                       const float* x, size_t batch, float* y, bool relu,
-                       qk::Arena* arena) {
-  if (mode == QuantBackend::kInt8) {
-    qk::GemmInt8(x, batch, layer.q8, layer.bias.data(), y, relu, arena);
-  } else if (mode == QuantBackend::kFp16) {
-    qk::GemmHalf(x, batch, layer.f16, layer.bias.data(), y, relu);
-  } else {
-    LITE_CHECK(false) << "RunQuantizedLayer: exact mode";
-  }
+void RunQuantizedLayer(const QuantizedLayer& layer, const float* x,
+                       size_t batch, float* y, bool relu, qk::Arena* arena) {
+  qk::GemmInt8(x, batch, layer.q8, layer.bias.data(), y, relu, arena);
 }
 
 void QuantizedMlp::ForwardBatch(const float* x, size_t batch, float* y,
@@ -75,14 +47,13 @@ void QuantizedMlp::ForwardBatch(const float* x, size_t batch, float* y,
   for (size_t l = 0; l < layers.size(); ++l) {
     const bool last = l + 1 == layers.size();
     float* dst = last ? y : arena->AllocFloats(batch * layers[l].out);
-    RunQuantizedLayer(layers[l], mode, cur, batch, dst, /*relu=*/!last, arena);
+    RunQuantizedLayer(layers[l], cur, batch, dst, /*relu=*/!last, arena);
     cur = dst;
   }
 }
 
-QuantizedMlp QuantizedMlp::From(const Mlp& mlp, QuantBackend mode) {
+QuantizedMlp QuantizedMlp::From(const Mlp& mlp) {
   QuantizedMlp out;
-  out.mode = mode;
   std::vector<VarPtr> params = mlp.Params();
   LITE_CHECK(params.size() % 2 == 0) << "Mlp params not (w, b) pairs";
   for (size_t p = 0; p < params.size(); p += 2) {
@@ -90,8 +61,8 @@ QuantizedMlp QuantizedMlp::From(const Mlp& mlp, QuantBackend mode) {
     const Tensor& b = params[p + 1]->value;  // out.
     LITE_CHECK(w.rank() == 2 && b.numel() == w.shape()[1])
         << "Mlp layer shape mismatch";
-    out.layers.push_back(QuantizeInByOut(w.data(), w.shape()[0], w.shape()[1],
-                                         b.data(), mode));
+    out.layers.push_back(
+        QuantizeInByOut(w.data(), w.shape()[0], w.shape()[1], b.data()));
   }
   return out;
 }
@@ -126,19 +97,12 @@ void QuantizedTextCnn::EncodeBatch(
           size_t row = (id >= 0 && static_cast<size_t>(id) < vocab)
                            ? static_cast<size_t>(id)
                            : (id < 0 ? 0 : vocab - 1);
-          if (mode == QuantBackend::kFp16) {
-            const uint16_t* e = embedding_f16.v.data() + row * d;
-            for (size_t dd = 0; dd < d; ++dd) {
-              arow[dd * w + dx] = qk::HalfToFloat(e[dd]);
-            }
-          } else {
-            const float* e = embedding.data() + row * d;
-            for (size_t dd = 0; dd < d; ++dd) arow[dd * w + dx] = e[dd];
-          }
+          const float* e = embedding.data() + row * d;
+          for (size_t dd = 0; dd < d; ++dd) arow[dd * w + dx] = e[dd];
         }
       }
       float* c = arena->AllocFloats(m * kernels);
-      RunQuantizedLayer(conv[wi], mode, a, m, c, /*relu=*/false, arena);
+      RunQuantizedLayer(conv[wi], a, m, c, /*relu=*/false, arena);
       // Max over positions (the exact path's MaxOverCols: first value wins
       // ties via strict >).
       float* qseg = q + b * q_dim + wi * kernels;
@@ -151,13 +115,11 @@ void QuantizedTextCnn::EncodeBatch(
       }
     }
   }
-  RunQuantizedLayer(proj, mode, q, batch, out, /*relu=*/true, arena);
+  RunQuantizedLayer(proj, q, batch, out, /*relu=*/true, arena);
 }
 
-QuantizedTextCnn QuantizedTextCnn::From(const TextCnnEncoder& cnn,
-                                        QuantBackend mode) {
+QuantizedTextCnn QuantizedTextCnn::From(const TextCnnEncoder& cnn) {
   QuantizedTextCnn out;
-  out.mode = mode;
   out.emb_dim = cnn.emb_dim();
   out.out_dim = cnn.out_dim();
   out.kernels_per_width = cnn.kernels_per_width();
@@ -165,11 +127,7 @@ QuantizedTextCnn QuantizedTextCnn::From(const TextCnnEncoder& cnn,
 
   const Tensor& emb = cnn.embedding()->value;  // vocab x emb_dim.
   out.vocab = emb.shape()[0];
-  if (mode == QuantBackend::kFp16) {
-    out.embedding_f16 = qk::PackHalf(emb.data(), out.vocab, out.emb_dim);
-  } else {
-    out.embedding.assign(emb.data(), emb.data() + emb.numel());
-  }
+  out.embedding.assign(emb.data(), emb.data() + emb.numel());
 
   // Params() order: embedding, conv_w per width, conv_b per width, proj w,
   // proj b (nn/encoders.cc).
@@ -183,16 +141,15 @@ QuantizedTextCnn QuantizedTextCnn::From(const TextCnnEncoder& cnn,
                w.shape()[1] == out.emb_dim * out.widths[wi] &&
                b.numel() == out.kernels_per_width)
         << "TextCnn conv shape mismatch";
-    out.conv.push_back(QuantizeOutByIn(w.data(), w.shape()[0], w.shape()[1],
-                                       b.data(), mode));
+    out.conv.push_back(
+        QuantizeOutByIn(w.data(), w.shape()[0], w.shape()[1], b.data()));
   }
   const Tensor& pw = params[1 + 2 * nw]->value;      // (kernels*nw) x out_dim.
   const Tensor& pb = params[1 + 2 * nw + 1]->value;  // out_dim.
   LITE_CHECK(pw.rank() == 2 && pw.shape()[0] == out.kernels_per_width * nw &&
              pw.shape()[1] == out.out_dim && pb.numel() == out.out_dim)
       << "TextCnn projection shape mismatch";
-  out.proj = QuantizeInByOut(pw.data(), pw.shape()[0], pw.shape()[1], pb.data(),
-                             mode);
+  out.proj = QuantizeInByOut(pw.data(), pw.shape()[0], pw.shape()[1], pb.data());
   return out;
 }
 

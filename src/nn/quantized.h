@@ -10,7 +10,6 @@
 #ifndef LITE_NN_QUANTIZED_H_
 #define LITE_NN_QUANTIZED_H_
 
-#include <string>
 #include <vector>
 
 #include "nn/encoders.h"
@@ -20,46 +19,39 @@
 namespace lite {
 
 /// Scoring-tower backend selector, threaded from LiteOptions through
-/// serve::ScoringOptions. kExactFp32 (the default) runs the autodiff path
-/// bit-identical to prior releases; the quantized backends trade bounded
-/// score error for throughput.
+/// serve::ScoringOptions. kExactFp32 (the default) runs the graph-free fp32
+/// tower, bit-identical to the autodiff oracle; kInt8 trades bounded score
+/// error for throughput at large candidate pools.
 enum class QuantBackend {
   kExactFp32 = 0,
   kInt8 = 1,
-  kFp16 = 2,
 };
 
 const char* QuantBackendName(QuantBackend backend);
-/// Parses "exact" / "int8" / "fp16"; returns false on anything else.
-bool ParseQuantBackend(const std::string& name, QuantBackend* out);
 
-/// One dense layer, out x in, quantized per output row. Exactly one of
-/// q8 / f16 is populated depending on the owning module's mode; the bias
-/// stays fp32 in both (it seeds the accumulator, so its error would be
-/// amplified by nothing and quantizing it buys no space worth having).
+/// One dense layer, out x in, int8-quantized per output row. The bias stays
+/// fp32 (it seeds the accumulator, so its error would be amplified by
+/// nothing and quantizing it buys no space worth having).
 struct QuantizedLayer {
   size_t in = 0, out = 0;
   qk::QuantizedRowMatrix q8;
-  qk::HalfMatrix f16;
   std::vector<float> bias;
 };
 
 /// Quantizes a row-major out x in weight matrix (+ bias of length out).
 QuantizedLayer QuantizeOutByIn(const float* w, size_t out, size_t in,
-                               const float* bias, QuantBackend mode);
+                               const float* bias);
 /// Same from a Linear-layout in x out matrix (transposed while packing).
 QuantizedLayer QuantizeInByOut(const float* w, size_t in, size_t out,
-                               const float* bias, QuantBackend mode);
+                               const float* bias);
 
 /// Runs one quantized layer: y (batch x layer.out) from x (batch x layer.in).
-void RunQuantizedLayer(const QuantizedLayer& layer, QuantBackend mode,
-                       const float* x, size_t batch, float* y, bool relu,
-                       qk::Arena* arena);
+void RunQuantizedLayer(const QuantizedLayer& layer, const float* x,
+                       size_t batch, float* y, bool relu, qk::Arena* arena);
 
 /// Quantized tower MLP: hidden layers ReLU, linear head — the structure of
 /// Mlp::ForwardRows on quantized weights.
 struct QuantizedMlp {
-  QuantBackend mode = QuantBackend::kInt8;
   std::vector<QuantizedLayer> layers;
 
   size_t input_dim() const { return layers.empty() ? 0 : layers.front().in; }
@@ -69,19 +61,17 @@ struct QuantizedMlp {
   void ForwardBatch(const float* x, size_t batch, float* y,
                     qk::Arena* arena) const;
 
-  static QuantizedMlp From(const Mlp& mlp, QuantBackend mode);
+  static QuantizedMlp From(const Mlp& mlp);
 };
 
 /// Quantized TextCNN: embedding gather -> im2col -> conv-as-GEMM per width
 /// -> max over positions -> concat -> quantized projection -> ReLU.
-/// The embedding table stays fp32 in int8 mode (it is a gather, not a GEMM;
-/// quantizing it buys nothing) and is half-storage in fp16 mode.
+/// The embedding table stays fp32 (it is a gather, not a GEMM; quantizing
+/// it buys nothing).
 struct QuantizedTextCnn {
-  QuantBackend mode = QuantBackend::kInt8;
   size_t vocab = 0, emb_dim = 0, out_dim = 0, kernels_per_width = 0;
   std::vector<size_t> widths;
-  std::vector<float> embedding;     ///< vocab x emb_dim (int8 mode).
-  qk::HalfMatrix embedding_f16;     ///< vocab x emb_dim (fp16 mode).
+  std::vector<float> embedding;      ///< vocab x emb_dim.
   std::vector<QuantizedLayer> conv;  ///< per width: kernels x (emb_dim * w).
   QuantizedLayer proj;               ///< out_dim x (kernels * |widths|).
 
@@ -90,7 +80,7 @@ struct QuantizedTextCnn {
   void EncodeBatch(const std::vector<std::vector<int>>& sequences, float* out,
                    qk::Arena* arena) const;
 
-  static QuantizedTextCnn From(const TextCnnEncoder& cnn, QuantBackend mode);
+  static QuantizedTextCnn From(const TextCnnEncoder& cnn);
 };
 
 }  // namespace lite

@@ -56,41 +56,9 @@ std::vector<double> ScoreCandidateSet(
     const spark::ApplicationSpec& app, const spark::DataSpec& data,
     const spark::ClusterEnv& env, const std::vector<spark::Config>& candidates,
     const ScoringOptions& options) {
-  if (options.batched) {
-    return ScoreCandidatesWithEnsemble(runner, feature_space, models, app,
-                                       data, env, candidates, options.backend,
-                                       options.threads);
-  }
-  if (options.backend != QuantBackend::kExactFp32) {
-    LITE_WARN << "ScoreCandidateSet: quantized backend "
-              << QuantBackendName(options.backend)
-              << " requested with batched=false; the scalar loop is the "
-                 "exact reference path — scoring exactly";
-  }
-  // Legacy scalar reference path: per-candidate featurization and one
-  // graph-building forward per stage instance. Kept as the equivalence
-  // baseline — bit-identical scores, no batching, no threads.
-  std::vector<double> scores(candidates.size());
-  CorpusBuilder builder(runner);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    CandidateEval ce = builder.FeaturizeCandidate(feature_space, app, data,
-                                                  env, candidates[i]);
-    double score = 0.0;
-    for (const NecsModel* model : models) {
-      double total = 0.0;
-      for (size_t s = 0; s < ce.stage_instances.size(); ++s) {
-        double target = model->PredictTarget(ce.stage_instances[s]);
-        double reps = s < ce.stage_reps.size()
-                          ? static_cast<double>(ce.stage_reps[s])
-                          : 1.0;
-        total += SecondsFromTarget(target) * reps;
-      }
-      score += std::log1p(std::max(total, 0.0));
-    }
-    score /= static_cast<double>(models.size());
-    scores[i] = std::expm1(score);
-  }
-  return scores;
+  return ScoreCandidatesWithEnsemble(runner, feature_space, models, app, data,
+                                     env, candidates, options.backend,
+                                     options.threads);
 }
 
 LiteSystem::Recommendation RunRecommendPipeline(

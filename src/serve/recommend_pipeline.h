@@ -9,10 +9,12 @@
 // RNG derivation (seed ^ hash(app.name), so requests are stateless and
 // safe to serve concurrently), and the non-finite-score-hardened argmin.
 //
-// ScoreCandidateSet is the matching single implementation of candidate
-// scoring: the batched multi-threaded ensemble tower by default, the legacy
-// scalar reference loop when `batched` is off. Both are bit-identical for
-// every thread count (ordered reduction; see docs/TESTING.md).
+// ScoreCandidateSet is the serving entry to candidate scoring: it forwards
+// to ScoreCandidatesWithEnsemble, the one scorer, with the request's backend
+// and thread count. The exact backend is bit-identical for every thread
+// count to the scalar reference loop that testkit::ScalarReferenceScores
+// keeps for the differential suites (ordered reduction; see
+// docs/TESTING.md).
 //
 // ExtractFeedbackInstances is the single implementation of Step 4's
 // run -> target-domain-instances extraction (subsampling cap, sentinel
@@ -35,23 +37,19 @@ namespace lite::serve {
 /// How a candidate set is scored.
 struct ScoringOptions {
   /// Worker threads (0 = one per hardware core, 1 = single-threaded).
+  /// Scores are bit-identical for every value.
   size_t threads = 0;
-  /// Batched multi-threaded tower vs the legacy scalar reference loop.
-  /// Rankings are bit-identical either way.
-  bool batched = true;
-  /// Scoring-tower backend. kExactFp32 (default) keeps both paths above
-  /// bit-identical to prior releases (DiffQuantTransparency enforces this);
-  /// kInt8/kFp16 route the batched path through the quantized SIMD kernels
-  /// with bounded score error (docs/QUANTIZATION.md). A quantized backend
-  /// with `batched == false` is contradictory — the scalar loop is the
-  /// exact reference — so it logs a warning and scores exactly.
+  /// Scoring-tower backend. kExactFp32 (default) is bit-identical to the
+  /// scalar reference (DiffQuantTransparency enforces this); kInt8 runs the
+  /// quantized SIMD kernels with bounded score error
+  /// (docs/QUANTIZATION.md).
   QuantBackend backend = QuantBackend::kExactFp32;
 };
 
 /// Scores `candidates` with the NECS ensemble under `options`: entry i is
-/// the ensemble-mean predicted application seconds of candidates[i]. The
-/// one place both scoring paths live; LiteSystem::ScoreCandidates and the
-/// snapshot/serving paths all delegate here.
+/// the ensemble-mean predicted application seconds of candidates[i].
+/// LiteSystem::ScoreCandidates and the snapshot/serving paths all delegate
+/// here; it forwards to ScoreCandidatesWithEnsemble.
 std::vector<double> ScoreCandidateSet(
     const spark::SparkRunner* runner, const Corpus& feature_space,
     const std::vector<const NecsModel*>& models,

@@ -74,8 +74,8 @@ struct ServiceOptions {
   /// Admission bound: maximum requests queued or running at once. Further
   /// submissions are rejected immediately (backpressure).
   size_t max_pending = 64;
-  /// Scoring options applied to every request (thread count, batched vs
-  /// scalar). Results are bit-identical for every setting.
+  /// Scoring options applied to every request (thread count, backend).
+  /// Results are bit-identical for every thread count.
   ScoringOptions scoring;
   /// Feedback instances that trigger an off-path adaptive update (0
   /// disables automatic updates; ForceAdaptiveUpdate still works).

@@ -1,9 +1,9 @@
 // Generic quantized kernels + dispatch + shared GEMM driver.
 //
 // This translation unit is compiled with -ffp-contract=off (see
-// src/tensor/CMakeLists.txt): the generic half dot must perform exactly the
-// multiply-then-add the AVX2 kernel performs, so the compiler must not fuse
-// them into FMAs.
+// src/tensor/CMakeLists.txt): the fp32 epilogue appears once per GEMM path
+// (panel, multi-row dot, reference loop), and the compiler must not fuse
+// its multiply-then-add into an FMA in one copy but not another.
 #include "tensor/qkernels.h"
 
 #include <algorithm>
@@ -84,68 +84,6 @@ QuantMutation ActiveQuantMutation() {
 }
 
 // ---------------------------------------------------------------------------
-// Half conversions (exact scalar reference; F16C produces the same bits).
-
-float HalfToFloat(uint16_t h) {
-  uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  uint32_t exp = (h >> 10) & 0x1Fu;
-  uint32_t man = h & 0x3FFu;
-  uint32_t bits;
-  if (exp == 0) {
-    if (man == 0) {
-      bits = sign;  // signed zero.
-    } else {
-      // Subnormal half: renormalize into the fp32 exponent range.
-      int shift = 0;
-      while (!(man & 0x400u)) {
-        man <<= 1;
-        ++shift;
-      }
-      man &= 0x3FFu;
-      bits = sign | ((113u - static_cast<uint32_t>(shift)) << 23) | (man << 13);
-    }
-  } else if (exp == 31) {
-    bits = sign | 0x7F800000u | (man << 13);  // inf / NaN.
-  } else {
-    bits = sign | ((exp + 112u) << 23) | (man << 13);
-  }
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-uint16_t FloatToHalf(float f) {
-  uint32_t x;
-  std::memcpy(&x, &f, sizeof(x));
-  uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  uint32_t fexp = (x >> 23) & 0xFFu;
-  uint32_t man = x & 0x7FFFFFu;
-  if (fexp == 0xFFu) {  // inf / NaN.
-    uint16_t payload = man ? static_cast<uint16_t>(0x200u | (man >> 13)) : 0;
-    return static_cast<uint16_t>(sign | 0x7C00u | payload);
-  }
-  int exp = static_cast<int>(fexp) - 127 + 15;
-  if (exp >= 31) return static_cast<uint16_t>(sign | 0x7C00u);  // overflow.
-  if (exp <= 0) {
-    if (exp < -10) return sign;  // underflow to signed zero.
-    man |= 0x800000u;            // restore the implicit bit.
-    uint32_t shift = static_cast<uint32_t>(14 - exp);  // 14..24.
-    uint16_t half = static_cast<uint16_t>(man >> shift);
-    uint32_t rem = man & ((1u << shift) - 1u);
-    uint32_t midpoint = 1u << (shift - 1);
-    if (rem > midpoint || (rem == midpoint && (half & 1u))) ++half;
-    return static_cast<uint16_t>(sign | half);
-  }
-  uint16_t half =
-      static_cast<uint16_t>((exp << 10) | static_cast<int>(man >> 13));
-  uint32_t rem = man & 0x1FFFu;
-  // Round to nearest even; a carry out of the mantissa bumps the exponent,
-  // rolling to infinity exactly when it should.
-  if (rem > 0x1000u || (rem == 0x1000u && (half & 1u))) ++half;
-  return static_cast<uint16_t>(sign | half);
-}
-
-// ---------------------------------------------------------------------------
 // Quantizers.
 
 void QuantizedRowMatrix::BuildPanels() {
@@ -199,15 +137,6 @@ QuantizedRowMatrix QuantizeRowsInt8(const float* w, size_t rows, size_t cols) {
   return out;
 }
 
-HalfMatrix PackHalf(const float* w, size_t rows, size_t cols) {
-  HalfMatrix out;
-  out.rows = rows;
-  out.cols = cols;
-  out.v.resize(rows * cols);
-  for (size_t i = 0; i < rows * cols; ++i) out.v[i] = FloatToHalf(w[i]);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Generic dot kernels.
 
@@ -221,37 +150,6 @@ int32_t DotInt8Generic(const int8_t* a, const int8_t* b, size_t n) {
   return acc;
 }
 
-float DotHalfGeneric(const float* x, const uint16_t* w, size_t n) {
-  // Fixed 8-lane accumulator: lane l sums elements i with i % 8 == l, full
-  // 8-element groups only; the tail is zero-padded into one last group.
-  // This is exactly what the AVX2 kernel's vector accumulator does.
-  float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  size_t n8 = n & ~static_cast<size_t>(7);
-  for (size_t i = 0; i < n8; i += 8) {
-    for (size_t l = 0; l < 8; ++l) {
-      acc[l] = acc[l] + x[i + l] * HalfToFloat(w[i + l]);
-    }
-  }
-  if (n8 < n) {
-    float xs[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    float ws[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t i = n8; i < n; ++i) {
-      xs[i - n8] = x[i];
-      ws[i - n8] = HalfToFloat(w[i]);
-    }
-    for (size_t l = 0; l < 8; ++l) acc[l] = acc[l] + xs[l] * ws[l];
-  }
-  // Reduction tree mirroring the AVX2 epilogue: 256->128 add, movehl add,
-  // then the final pairwise add.
-  float s4_0 = acc[0] + acc[4];
-  float s4_1 = acc[1] + acc[5];
-  float s4_2 = acc[2] + acc[6];
-  float s4_3 = acc[3] + acc[7];
-  float s2_0 = s4_0 + s4_2;
-  float s2_1 = s4_1 + s4_3;
-  return s2_0 + s2_1;
-}
-
 }  // namespace detail
 
 int32_t DotInt8(const int8_t* a, const int8_t* b, size_t n) {
@@ -259,13 +157,6 @@ int32_t DotInt8(const int8_t* a, const int8_t* b, size_t n) {
   if (ResolveIsa() == KernelIsa::kAvx2) return detail::DotInt8Avx2(a, b, n);
 #endif
   return detail::DotInt8Generic(a, b, n);
-}
-
-float DotHalf(const float* x, const uint16_t* w, size_t n) {
-#if defined(LITE_QK_HAVE_AVX2)
-  if (ResolveIsa() == KernelIsa::kAvx2) return detail::DotHalfAvx2(x, w, n);
-#endif
-  return detail::DotHalfGeneric(x, w, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -432,46 +323,6 @@ void GemmInt8(const float* x, size_t batch, const QuantizedRowMatrix& w,
                          ? 0
                          : w.zero_point[j] * rowsum[b];
       float v = sx[b] * w.scale[j] * static_cast<float>(acc - corr);
-      if (bias != nullptr) v = bias[j] + v;
-      if (relu) v = v > 0.0f ? v : 0.0f;
-      yrow[j] = v;
-    }
-  }
-}
-
-void GemmHalf(const float* x, size_t batch, const HalfMatrix& w,
-              const float* bias, float* y, bool relu) {
-  const size_t cols = w.cols;
-  const size_t rows = w.rows;
-  if (obs::Enabled()) {
-    const QkMetrics& m = QkMetrics::Get();
-    m.gemm_calls->Inc();
-    m.gemm_rows->Inc(batch);
-  }
-#if defined(LITE_QK_HAVE_AVX2)
-  const bool use_avx2 = ResolveIsa() == KernelIsa::kAvx2;
-#endif
-  for (size_t b = 0; b < batch; ++b) {
-    const float* xrow = x + b * cols;
-    float* yrow = y + b * rows;
-#if defined(LITE_QK_HAVE_AVX2)
-    if (use_avx2) {
-      // All dots for this activation row in one multi-row call (each output
-      // keeps the fixed accumulator/reduction order), then bias/relu in
-      // place.
-      detail::DotHalfMultiAvx2(xrow, w.v.data(), rows, cols, yrow);
-      for (size_t j = 0; j < rows; ++j) {
-        float v = yrow[j];
-        if (bias != nullptr) v = bias[j] + v;
-        if (relu) v = v > 0.0f ? v : 0.0f;
-        yrow[j] = v;
-      }
-      continue;
-    }
-#endif
-    for (size_t j = 0; j < rows; ++j) {
-      const uint16_t* wrow = w.v.data() + j * cols;
-      float v = detail::DotHalfGeneric(xrow, wrow, cols);
       if (bias != nullptr) v = bias[j] + v;
       if (relu) v = v > 0.0f ? v : 0.0f;
       yrow[j] = v;

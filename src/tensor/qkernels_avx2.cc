@@ -1,12 +1,9 @@
-// AVX2 (+F16C) dot kernels. Compiled with -mavx2 -mf16c -ffp-contract=off
+// AVX2 int8 kernels. Compiled with -mavx2 -ffp-contract=off
 // (src/tensor/CMakeLists.txt); only reached after a runtime CPU check, so
 // the rest of the binary stays baseline-ISA clean.
 //
-// Bit-identity contract with the generic kernels (tensor/qkernels.cc):
-//  - int8: exact int32 accumulation, any order.
-//  - half: 8-lane fp32 accumulator over zero-padded 8-element groups, plain
-//    mul + add (no FMA), reduction tree = 128-bit fold, movehl fold, final
-//    pairwise add — mirrored scalar-for-lane by DotHalfGeneric.
+// Bit-identity contract with the generic kernels (tensor/qkernels.cc): int8
+// dots accumulate exactly in int32, so any order matches.
 #include "tensor/qkernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -30,22 +27,9 @@ inline int32_t ReduceI32(__m256i acc) {
   return _mm_cvtsi128_si32(s);
 }
 
-// The fixed reduction tree of the half kernels: 128-bit fold, movehl fold,
-// final pairwise add. DotHalfGeneric mirrors this exactly.
-inline float ReduceHalfAcc(__m256 acc) {
-  __m128 lo = _mm256_castps256_ps128(acc);
-  __m128 hi = _mm256_extractf128_ps(acc, 1);
-  __m128 s4 = _mm_add_ps(lo, hi);                     // lanes l + l+4.
-  __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));  // lanes (0+2, 1+3).
-  __m128 s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1));
-  return _mm_cvtss_f32(s1);
-}
-
 }  // namespace
 
-bool Avx2RuntimeSupported() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
-}
+bool Avx2RuntimeSupported() { return __builtin_cpu_supports("avx2"); }
 
 int32_t DotInt8Avx2(const int8_t* a, const int8_t* b, size_t n) {
   __m256i acc = _mm256_setzero_si256();
@@ -234,86 +218,6 @@ void GemmInt8PanelsAvx2(const int16_t* a16, const QuantizedRowMatrix& w,
       for (size_t l = 0; p * 8 + l < w.rows; ++l) out[p * 8 + l] = tmp[l];
     }
   }
-}
-
-float DotHalfAvx2(const float* x, const uint16_t* w, size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t n8 = n & ~static_cast<size_t>(7);
-  for (size_t i = 0; i < n8; i += 8) {
-    __m128i hw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    __m256 wf = _mm256_cvtph_ps(hw);  // exact half -> float.
-    __m256 xf = _mm256_loadu_ps(x + i);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(xf, wf));
-  }
-  if (n8 < n) {
-    alignas(32) float xt[8] = {0};
-    alignas(16) uint16_t wt[8] = {0};
-    for (size_t i = n8; i < n; ++i) {
-      xt[i - n8] = x[i];
-      wt[i - n8] = w[i];
-    }
-    __m128i hw = _mm_load_si128(reinterpret_cast<const __m128i*>(wt));
-    __m256 wf = _mm256_cvtph_ps(hw);
-    __m256 xf = _mm256_load_ps(xt);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(xf, wf));
-  }
-  return ReduceHalfAcc(acc);
-}
-
-void DotHalfMultiAvx2(const float* x, const uint16_t* w, size_t rows,
-                      size_t cols, float* out) {
-  const size_t n8 = cols & ~static_cast<size_t>(7);
-  size_t j = 0;
-  for (; j + 4 <= rows; j += 4) {
-    const uint16_t* w0 = w + j * cols;
-    const uint16_t* w1 = w0 + cols;
-    const uint16_t* w2 = w1 + cols;
-    const uint16_t* w3 = w2 + cols;
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    for (size_t i = 0; i < n8; i += 8) {
-      __m256 xf = _mm256_loadu_ps(x + i);
-      acc0 = _mm256_add_ps(
-          acc0, _mm256_mul_ps(xf, _mm256_cvtph_ps(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i*>(
-                                          w0 + i)))));
-      acc1 = _mm256_add_ps(
-          acc1, _mm256_mul_ps(xf, _mm256_cvtph_ps(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i*>(
-                                          w1 + i)))));
-      acc2 = _mm256_add_ps(
-          acc2, _mm256_mul_ps(xf, _mm256_cvtph_ps(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i*>(
-                                          w2 + i)))));
-      acc3 = _mm256_add_ps(
-          acc3, _mm256_mul_ps(xf, _mm256_cvtph_ps(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i*>(
-                                          w3 + i)))));
-    }
-    if (n8 < cols) {
-      alignas(32) float xt[8] = {0};
-      for (size_t i = n8; i < cols; ++i) xt[i - n8] = x[i];
-      __m256 xf = _mm256_load_ps(xt);
-      auto tail = [&](const uint16_t* wr, __m256& acc) {
-        alignas(16) uint16_t wt[8] = {0};
-        for (size_t i = n8; i < cols; ++i) wt[i - n8] = wr[i];
-        __m256 wf = _mm256_cvtph_ps(
-            _mm_load_si128(reinterpret_cast<const __m128i*>(wt)));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(xf, wf));
-      };
-      tail(w0, acc0);
-      tail(w1, acc1);
-      tail(w2, acc2);
-      tail(w3, acc3);
-    }
-    out[j + 0] = ReduceHalfAcc(acc0);
-    out[j + 1] = ReduceHalfAcc(acc1);
-    out[j + 2] = ReduceHalfAcc(acc2);
-    out[j + 3] = ReduceHalfAcc(acc3);
-  }
-  for (; j < rows; ++j) out[j] = DotHalfAvx2(x, w + j * cols, cols);
 }
 
 }  // namespace lite::qk::detail

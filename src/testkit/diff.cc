@@ -31,6 +31,35 @@ std::string Fmt(double v) {
 
 }  // namespace
 
+std::vector<double> ScalarReferenceScores(
+    const spark::SparkRunner* runner, const Corpus& feature_space,
+    const std::vector<const NecsModel*>& models,
+    const spark::ApplicationSpec& app, const spark::DataSpec& data,
+    const spark::ClusterEnv& env,
+    const std::vector<spark::Config>& candidates) {
+  std::vector<double> scores(candidates.size());
+  CorpusBuilder builder(runner);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    CandidateEval ce = builder.FeaturizeCandidate(feature_space, app, data,
+                                                  env, candidates[i]);
+    double score = 0.0;
+    for (const NecsModel* model : models) {
+      double total = 0.0;
+      for (size_t s = 0; s < ce.stage_instances.size(); ++s) {
+        double target = model->PredictTarget(ce.stage_instances[s]);
+        double reps = s < ce.stage_reps.size()
+                          ? static_cast<double>(ce.stage_reps[s])
+                          : 1.0;
+        total += SecondsFromTarget(target) * reps;
+      }
+      score += std::log1p(std::max(total, 0.0));
+    }
+    score /= static_cast<double>(models.size());
+    scores[i] = std::expm1(score);
+  }
+  return scores;
+}
+
 DiffResult DiffScalarVsBatch(const NecsModel& model,
                              std::span<const StageInstance> insts) {
   std::vector<double> batched = model.PredictBatch(insts);
@@ -87,11 +116,8 @@ DiffResult DiffPlanVsScalar(const spark::SparkRunner* runner,
                             const WorkloadTuple& t,
                             const std::vector<spark::Config>& candidates,
                             const std::vector<size_t>& thread_counts) {
-  serve::ScoringOptions scalar_opts;
-  scalar_opts.batched = false;
-  std::vector<double> reference = serve::ScoreCandidateSet(
-      runner, feature_space, models, *t.app, t.data, t.env, candidates,
-      scalar_opts);
+  std::vector<double> reference = ScalarReferenceScores(
+      runner, feature_space, models, *t.app, t.data, t.env, candidates);
   for (size_t threads : thread_counts) {
     for (bool in_pool_task : {false, true}) {
       auto score = [&] {
@@ -436,6 +462,9 @@ DiffResult DiffQuantTransparency(
     const std::vector<const NecsModel*>& models, const WorkloadTuple& t,
     const std::vector<spark::Config>& candidates,
     const std::vector<size_t>& thread_counts) {
+  // The scalar reference has no thread count: score it once.
+  const std::vector<double> scalar = ScalarReferenceScores(
+      runner, feature_space, models, *t.app, t.data, t.env, candidates);
   for (size_t threads : thread_counts) {
     std::vector<double> reference = ScoreCandidatesWithEnsemble(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
@@ -443,10 +472,6 @@ DiffResult DiffQuantTransparency(
     serve::ScoringOptions opts;
     opts.threads = threads;
     std::vector<double> batched = serve::ScoreCandidateSet(
-        runner, feature_space, models, *t.app, t.data, t.env, candidates,
-        opts);
-    opts.batched = false;
-    std::vector<double> scalar = serve::ScoreCandidateSet(
         runner, feature_space, models, *t.app, t.data, t.env, candidates,
         opts);
     if (batched.size() != reference.size() ||
@@ -542,8 +567,7 @@ DiffResult DiffStageTuningTransparency(const spark::SparkRunner& runner,
     const char* name;
   };
   const BackendCase backends[] = {{QuantBackend::kExactFp32, "exact"},
-                                  {QuantBackend::kInt8, "int8"},
-                                  {QuantBackend::kFp16, "fp16"}};
+                                  {QuantBackend::kInt8, "int8"}};
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     for (const BackendCase& bc : backends) {
       auto make_service = [&](bool stage_tuning) {

@@ -4,6 +4,8 @@
 // checkable assertion:
 //
 //   * scalar PredictTarget vs batched PredictBatch — bit-identical;
+//   * the candidate scorer vs ScalarReferenceScores, the scalar reference
+//     loop kept here as the oracle — bit-identical;
 //   * ensemble candidate scoring across thread counts — bit-identical;
 //   * SparkRunner vs ResilientRunner with faults disabled — bit-identical;
 //   * LiteSystem vs its snapshot round-trip — identical recommendation and
@@ -31,6 +33,18 @@ struct DiffResult {
   std::string message;
 };
 
+/// The scalar reference scorer: per-candidate featurization and one
+/// graph-building PredictTarget forward per stage instance, then Eq. 5 and
+/// the ensemble's geometric mean — no batching, no plans, no threads. Entry
+/// i scores candidates[i]; the exact serving scorer
+/// (ScoreCandidatesWithEnsemble) must match it bit for bit.
+std::vector<double> ScalarReferenceScores(
+    const spark::SparkRunner* runner, const Corpus& feature_space,
+    const std::vector<const NecsModel*>& models,
+    const spark::ApplicationSpec& app, const spark::DataSpec& data,
+    const spark::ClusterEnv& env,
+    const std::vector<spark::Config>& candidates);
+
 /// Scalar PredictTarget vs one PredictBatch call over `insts`: entry i must
 /// be bit-identical (the batched tower documents this contract).
 DiffResult DiffScalarVsBatch(const NecsModel& model,
@@ -44,9 +58,9 @@ DiffResult DiffScoringThreadCounts(
     const std::vector<spark::Config>& candidates,
     const std::vector<size_t>& thread_counts);
 
-/// Exact scoring plan vs the scalar reference (ScoreCandidateSet with
-/// batched=false: per-candidate featurization, one autodiff forward per
-/// stage): the graph-free plan/block path must reproduce every score bit
+/// Exact scoring plan vs the scalar reference (ScalarReferenceScores:
+/// per-candidate featurization, one autodiff forward per stage): the
+/// graph-free plan/block path must reproduce every score bit
 /// for bit, for each thread count in `thread_counts`, called from outside
 /// any pool and again from inside a shared-pool task (where the scorer runs
 /// its blocks inline).
@@ -121,8 +135,8 @@ struct QuantAccuracyReport {
 ///     ordered-reduction contract extends to the quantized path);
 ///   * when the AVX2 kernels are compiled in and the CPU supports them,
 ///     generic and AVX2 quantized scores are bit-identical (integer dots
-///     are exact; the fp16 path fixes its reduction tree) — the kernel ISA
-///     may never leak into scores. Twin encoder caches are flushed between
+///     accumulate exactly in int32) — the kernel ISA may never leak into
+///     scores. Twin encoder caches are flushed between
 ///     ISA passes so cached encodings cannot mask a CNN divergence.
 ///     Restores the process-wide ISA override before returning;
 ///   * every candidate's relative score error is <= `max_rel_error`.
@@ -136,8 +150,8 @@ DiffResult DiffQuantizationAccuracy(
     QuantAccuracyReport* report = nullptr);
 
 /// Quantized-backend transparency (the `quant_transparency` invariant):
-/// with the backend left at its kExactFp32 default, ScoreCandidateSet —
-/// batched and scalar — must be bit-identical to the pre-quantization
+/// with the backend left at its kExactFp32 default, ScoreCandidateSet and
+/// ScalarReferenceScores must both be bit-identical to the exact
 /// ScoreCandidatesWithEnsemble reference for every thread count. Shipping
 /// the quantized kernels may not move one bit of the default serving path.
 DiffResult DiffQuantTransparency(
@@ -162,7 +176,7 @@ DiffResult DiffRetrievalTransparency(const spark::SparkRunner& runner,
 
 /// Stage-tuning transparency (the structurally-inert guarantee of
 /// ServiceOptions::stage_tuning), checked across scoring thread counts
-/// 1/4/8 and the exact, int8 and fp16 scoring backends:
+/// 1/4/8 and the exact and int8 scoring backends:
 ///   * with stage tuning enabled but no staged endpoint exercised, plain
 ///     Recommend must be bit-identical to a stage-tuning-disabled service
 ///     — config, predicted seconds and candidate count;

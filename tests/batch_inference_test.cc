@@ -11,11 +11,13 @@
 #include "lite/candidate_gen.h"
 #include "lite/lite_system.h"
 #include "lite/model_update.h"
+#include "serve/recommend_pipeline.h"
+#include "testkit/diff.h"
 
 namespace lite {
 namespace {
 
-LiteOptions SmallOptions(bool batched, size_t threads) {
+LiteOptions SmallOptions(size_t threads) {
   LiteOptions opts;
   opts.corpus.apps = {"TS", "PR"};
   opts.corpus.clusters = {spark::ClusterEnv::ClusterA()};
@@ -29,21 +31,27 @@ LiteOptions SmallOptions(bool batched, size_t threads) {
   opts.necs.gcn_hidden = 8;
   opts.train.epochs = 2;
   opts.num_candidates = 40;
-  opts.batched_scoring = batched;
   opts.scoring_threads = threads;
   return opts;
 }
 
 class BatchInferenceTest : public ::testing::Test {
  protected:
-  // Both systems train with identical seeds -> bit-identical weights; they
-  // differ only in the scoring path.
+  // The scalar side of every equivalence is testkit::ScalarReferenceScores
+  // over the same trained models.
   static void SetUpTestSuite() {
     runner_ = new spark::SparkRunner();
-    batched_ = new LiteSystem(runner_, SmallOptions(true, 4));
+    batched_ = new LiteSystem(runner_, SmallOptions(4));
     batched_->TrainOffline();
-    scalar_ = new LiteSystem(runner_, SmallOptions(false, 1));
-    scalar_->TrainOffline();
+  }
+
+  static std::vector<double> ScalarScores(
+      const spark::ApplicationSpec& app, const spark::DataSpec& data,
+      const spark::ClusterEnv& env,
+      const std::vector<spark::Config>& candidates) {
+    std::vector<const NecsModel*> models{batched_->model()};
+    return testkit::ScalarReferenceScores(runner_, batched_->corpus(), models,
+                                          app, data, env, candidates);
   }
 
   static std::vector<spark::Config> SomeCandidates(size_t count,
@@ -57,12 +65,10 @@ class BatchInferenceTest : public ::testing::Test {
 
   static spark::SparkRunner* runner_;
   static LiteSystem* batched_;
-  static LiteSystem* scalar_;
 };
 
 spark::SparkRunner* BatchInferenceTest::runner_ = nullptr;
 LiteSystem* BatchInferenceTest::batched_ = nullptr;
-LiteSystem* BatchInferenceTest::scalar_ = nullptr;
 
 TEST_F(BatchInferenceTest, PredictBatchMatchesLoopedPredictTarget) {
   const NecsModel* model = batched_->model();
@@ -106,7 +112,7 @@ TEST_F(BatchInferenceTest, ScoresIdenticalScalarVsBatchedAndAcrossThreads) {
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterC();
   std::vector<spark::Config> candidates = SomeCandidates(64, 91);
 
-  std::vector<double> legacy = scalar_->ScoreCandidates(*app, data, env, candidates);
+  std::vector<double> legacy = ScalarScores(*app, data, env, candidates);
   std::vector<double> batched = batched_->ScoreCandidates(*app, data, env, candidates);
   ASSERT_EQ(legacy.size(), batched.size());
   for (size_t i = 0; i < legacy.size(); ++i) {
@@ -151,7 +157,15 @@ TEST_F(BatchInferenceTest, RecommendationIdenticalScalarVsBatched) {
   const auto* app = spark::AppCatalog::Find("TS");
   spark::DataSpec data = app->MakeData(app->test_size_mb);
   const spark::ClusterEnv env = spark::ClusterEnv::ClusterC();
-  LiteSystem::Recommendation a = scalar_->Recommend(*app, data, env);
+  // The pipeline LiteSystem::Recommend runs, scored by the scalar reference.
+  serve::PipelineContext ctx;
+  ctx.acg = &batched_->candidate_generator();
+  ctx.num_candidates = batched_->options().num_candidates;
+  ctx.seed = batched_->options().seed;
+  LiteSystem::Recommendation a = serve::RunRecommendPipeline(
+      ctx, *app, data, env, [&](const std::vector<spark::Config>& cands) {
+        return ScalarScores(*app, data, env, cands);
+      });
   LiteSystem::Recommendation b = batched_->Recommend(*app, data, env);
   EXPECT_EQ(a.config, b.config);
   EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
@@ -161,7 +175,7 @@ TEST_F(BatchInferenceTest, RecommendationIdenticalScalarVsBatched) {
 TEST_F(BatchInferenceTest, EncoderCacheFreshAfterAdaptiveUpdateStep) {
   // A model trained one more step must serve predictions from its new
   // weights, not from stale cached encodings.
-  LiteSystem fresh(runner_, SmallOptions(true, 2));
+  LiteSystem fresh(runner_, SmallOptions(2));
   fresh.TrainOffline();
   NecsModel* model = fresh.model();
   const StageInstance& inst = fresh.corpus().instances[0];

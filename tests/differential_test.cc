@@ -13,6 +13,7 @@
 #include "lite/snapshot.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -147,21 +148,17 @@ TEST_F(DifferentialTest, QuantizedBackendsStayWithinErrorBounds) {
     for (int c = 0; c < 10; ++c) {
       candidates.push_back(space.RandomConfig(gen.rng()));
     }
-    for (auto [backend, bound] :
-         {std::pair{QuantBackend::kInt8, 0.05},
-          std::pair{QuantBackend::kFp16, 5e-3}}) {
-      DiffResult r = testkit::DiffQuantizationAccuracy(
-          runner_, system_->corpus(), models, t, candidates, backend, bound,
-          {1, 2, 4});
-      ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe()
-                        << "\n  " << SeedNote();
-    }
+    DiffResult r = testkit::DiffQuantizationAccuracy(
+        runner_, system_->corpus(), models, t, candidates, QuantBackend::kInt8,
+        0.05, {1, 2, 4});
+    ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe() << "\n  "
+                      << SeedNote();
   }
 }
 
 // Shipping the quantized kernels may not move one bit of the default
-// serving path: backend off => ScoreCandidateSet (batched and scalar) is
-// bit-identical to the pre-quantization reference at every thread count.
+// serving path: backend off => ScoreCandidateSet and the scalar reference
+// are bit-identical to the exact scorer at every thread count.
 TEST_F(DifferentialTest, QuantBackendOffIsTransparent) {
   testkit::TupleGenerator gen = CorpusGen(6);
   std::vector<const NecsModel*> models;
@@ -185,7 +182,8 @@ TEST_F(DifferentialTest, QuantBackendOffIsTransparent) {
 }
 
 TEST_F(DifferentialTest, SnapshotRoundTripIsLossless) {
-  std::string dir = testing::TempDir() + "/testkit_snapshot_diff";
+  testkit::ScopedTempDir tmp("testkit_snapshot_diff");
+  std::string dir = tmp.Sub("testkit_snapshot_diff");
   std::filesystem::create_directories(dir);
   testkit::TupleGenerator gen = CorpusGen(3);
   WorkloadTuple t = gen.Next();
@@ -196,7 +194,7 @@ TEST_F(DifferentialTest, SnapshotRoundTripIsLossless) {
 }
 
 // Stage-tuning transparency: enabled-but-unused must be bit-identical to
-// disabled across thread counts 1/4/8 and the exact/int8/fp16 backends.
+// disabled across thread counts 1/4/8 and the exact/int8 backends.
 // Trains its own system with a stage head so the enabled service really
 // plans — the strongest form of the inertness claim.
 TEST(StageTuningDifferentialTest, EnabledButUnusedIsBitIdentical) {
@@ -221,7 +219,8 @@ TEST(StageTuningDifferentialTest, EnabledButUnusedIsBitIdentical) {
   system.TrainOffline();
   ASSERT_NE(system.stage_head(), nullptr);
 
-  std::string dir = testing::TempDir() + "/stage_tuning_diff_snapshot";
+  testkit::ScopedTempDir tmp("stage_tuning_diff");
+  std::string dir = tmp.Sub("stage_tuning_diff_snapshot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(system, dir));
 

@@ -23,6 +23,7 @@
 #include "sparksim/runner.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -426,7 +427,8 @@ class GuardedServiceTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     LiteSystem system(runner_, TinyOptions());
     system.TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/guardrail_snapshot");
+    tmp_ = new testkit::ScopedTempDir("guardrail");
+    dir_ = new std::string(tmp_->Sub("guardrail_snapshot"));
     std::filesystem::create_directories(*dir_);
     ASSERT_TRUE(SaveSnapshot(system, *dir_));
   }
@@ -434,8 +436,10 @@ class GuardedServiceTest : public ::testing::Test {
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
     delete dir_;
+    delete tmp_;
     delete runner_;
     dir_ = nullptr;
+    tmp_ = nullptr;
     runner_ = nullptr;
   }
 
@@ -456,10 +460,12 @@ class GuardedServiceTest : public ::testing::Test {
   }
 
   static spark::SparkRunner* runner_;
+  static testkit::ScopedTempDir* tmp_;
   static std::string* dir_;
 };
 
 spark::SparkRunner* GuardedServiceTest::runner_ = nullptr;
+testkit::ScopedTempDir* GuardedServiceTest::tmp_ = nullptr;
 std::string* GuardedServiceTest::dir_ = nullptr;
 
 TEST_F(GuardedServiceTest, ServiceOptionsValidationGuardsConstruction) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "lite/snapshot.h"
+#include "testkit/temp_dir.h"
 #include "tuning/experiment.h"
 #include "tuning/model_tuners.h"
 #include "tuning/sha_tuner.h"
@@ -54,7 +55,8 @@ TEST(IntegrationTest, FullLifecycle) {
   EXPECT_TRUE(spark::KnobSpace::Spark16().IsValid(r2.config));
 
   // Snapshot after the update; serving agrees with the in-process system.
-  std::string dir = testing::TempDir() + "/integration_snapshot";
+  testkit::ScopedTempDir tmp("integration");
+  std::string dir = tmp.Sub("integration_snapshot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(system, dir));
   auto served = LoadedLiteModel::Load(dir, &runner);

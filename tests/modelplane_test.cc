@@ -6,8 +6,7 @@
 // staged temp file is written and then the commit fails *before* the
 // rename, exactly the window a crash would hit — and prove the previously
 // committed snapshot survives byte-for-byte for every writer that
-// persists model state (SaveSnapshot, SaveQuantizedSnapshot,
-// RetrievalCache::SaveIndex).
+// persists model state (SaveSnapshot, RetrievalCache::SaveIndex).
 //
 // FourShardStormServesNoTornPull is the ISSUE 10 acceptance scenario: a
 // 4-shard simulation under a swap storm with injected channel faults must
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "lite/lite_system.h"
-#include "lite/qsnapshot.h"
 #include "lite/snapshot.h"
 #include "modelplane/blob.h"
 #include "modelplane/channel.h"
@@ -39,6 +37,7 @@
 #include "serve/retrieval_cache.h"
 #include "serve/tuning_service.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
 
@@ -83,7 +82,8 @@ std::map<std::string, std::string> DirImage(const std::string& dir) {
 // --- AtomicFileWriter -----------------------------------------------------
 
 TEST(AtomicFileTest, CommitPublishesExactBytes) {
-  const std::string path = testing::TempDir() + "/atomic_commit.txt";
+  testkit::ScopedTempDir tmp("atomic_commit");
+  const std::string path = tmp.Sub("atomic_commit.txt");
   std::remove(path.c_str());
   {
     AtomicFileWriter w(path);
@@ -98,7 +98,8 @@ TEST(AtomicFileTest, CommitPublishesExactBytes) {
 }
 
 TEST(AtomicFileTest, InjectedFailureLeavesCommittedFileAndNoTemp) {
-  const std::string path = testing::TempDir() + "/atomic_inject.txt";
+  testkit::ScopedTempDir tmp("atomic_inject");
+  const std::string path = tmp.Sub("atomic_inject.txt");
   ASSERT_TRUE(WriteFileAtomic(path, [](std::ostream& out) {
     out << "committed v1\n";
     return true;
@@ -118,7 +119,8 @@ TEST(AtomicFileTest, InjectedFailureLeavesCommittedFileAndNoTemp) {
 }
 
 TEST(AtomicFileTest, AbandonedWriterUnlinksTempAndKeepsCommitted) {
-  const std::string path = testing::TempDir() + "/atomic_abandon.txt";
+  testkit::ScopedTempDir tmp("atomic_abandon");
+  const std::string path = tmp.Sub("atomic_abandon.txt");
   ASSERT_TRUE(WriteFileAtomic(path, [](std::ostream& out) {
     out << "committed\n";
     return true;
@@ -136,8 +138,9 @@ TEST(AtomicFileTest, AbandonedWriterUnlinksTempAndKeepsCommitted) {
 }
 
 TEST(AtomicFileTest, StageAllThenPublishIsAllOrNothing) {
-  const std::string a = testing::TempDir() + "/staged_a.txt";
-  const std::string b = testing::TempDir() + "/staged_b.txt";
+  testkit::ScopedTempDir tmp("staged");
+  const std::string a = tmp.Sub("staged_a.txt");
+  const std::string b = tmp.Sub("staged_b.txt");
   std::remove(a.c_str());
   std::remove(b.c_str());
   AtomicFileWriter wa(a), wb(b);
@@ -183,7 +186,8 @@ class ModelPlaneModelTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     system_ = new LiteSystem(runner_, TinyOptions());
     system_->TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/modelplane_snapshot");
+    tmp_ = new testkit::ScopedTempDir("modelplane");
+    dir_ = new std::string(tmp_->Sub("modelplane_snapshot"));
     fs::create_directories(*dir_);
     ASSERT_TRUE(SaveSnapshot(*system_, *dir_));
   }
@@ -191,24 +195,29 @@ class ModelPlaneModelTest : public ::testing::Test {
   static void TearDownTestSuite() {
     fs::remove_all(*dir_);
     delete dir_;
+    delete tmp_;
     delete system_;
     delete runner_;
     dir_ = nullptr;
+    tmp_ = nullptr;
     system_ = nullptr;
     runner_ = nullptr;
   }
 
   static spark::SparkRunner* runner_;
   static LiteSystem* system_;
+  static testkit::ScopedTempDir* tmp_;
   static std::string* dir_;
 };
 
 spark::SparkRunner* ModelPlaneModelTest::runner_ = nullptr;
 LiteSystem* ModelPlaneModelTest::system_ = nullptr;
+testkit::ScopedTempDir* ModelPlaneModelTest::tmp_ = nullptr;
 std::string* ModelPlaneModelTest::dir_ = nullptr;
 
 TEST_F(ModelPlaneModelTest, SaveSnapshotCrashMidSaveKeepsCommittedSnapshot) {
-  const std::string dir = testing::TempDir() + "/crash_save";
+  testkit::ScopedTempDir tmp("crash_save");
+  const std::string dir = tmp.Sub("crash_save");
   fs::remove_all(dir);
   fs::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(*system_, dir));
@@ -227,28 +236,6 @@ TEST_F(ModelPlaneModelTest, SaveSnapshotCrashMidSaveKeepsCommittedSnapshot) {
   fs::remove_all(dir);
 }
 
-TEST_F(ModelPlaneModelTest, QuantizedSnapshotCrashMidSaveKeepsCommitted) {
-  const std::string dir = testing::TempDir() + "/crash_qsave";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  auto model = LoadedLiteModel::Load(*dir_, runner_);
-  ASSERT_NE(model, nullptr);
-  ASSERT_TRUE(SaveQuantizedSnapshot(*model, QuantBackend::kInt8, dir));
-  const std::map<std::string, std::string> committed = DirImage(dir);
-  ASSERT_TRUE(committed.count("qmeta.txt"));
-
-  for (int nth = 1; nth <= static_cast<int>(committed.size()); ++nth) {
-    InjectAtomicWriteFailure(nth);
-    EXPECT_FALSE(SaveQuantizedSnapshot(*model, QuantBackend::kInt8, dir))
-        << "nth=" << nth;
-    EXPECT_EQ(DirImage(dir), committed) << "nth=" << nth;
-  }
-  auto reload = LoadedLiteModel::Load(*dir_, runner_);
-  ASSERT_NE(reload, nullptr);
-  EXPECT_TRUE(LoadQuantizedSnapshot(dir, reload.get()));
-  fs::remove_all(dir);
-}
-
 TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
   serve::RetrievalCacheOptions opts;
   opts.enabled = true;
@@ -256,7 +243,8 @@ TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
   spark::Config config = spark::KnobSpace::Spark16().DefaultConfig();
   cache.InsertOutcome("tenant", "TS", 7, {0.25, 0.5}, config, 12.5, 1, false);
 
-  const std::string path = testing::TempDir() + "/crash_index.txt";
+  testkit::ScopedTempDir tmp("crash_index");
+  const std::string path = tmp.Sub("crash_index.txt");
   ASSERT_TRUE(cache.SaveIndex(path));
   const std::string committed = ReadFile(path);
 
@@ -272,7 +260,8 @@ TEST(RetrievalCrashTest, SaveIndexCrashMidSaveKeepsCommittedIndex) {
 }
 
 TEST_F(ModelPlaneModelTest, MissingMetaIsNoSnapshotNotCorruption) {
-  const std::string dir = testing::TempDir() + "/no_marker";
+  testkit::ScopedTempDir tmp("no_marker");
+  const std::string dir = tmp.Sub("no_marker");
   fs::remove_all(dir);
   fs::create_directories(dir);
   // Replicate everything EXCEPT the commit marker — the state a crash
@@ -287,7 +276,8 @@ TEST_F(ModelPlaneModelTest, MissingMetaIsNoSnapshotNotCorruption) {
 }
 
 TEST_F(ModelPlaneModelTest, MixedVersionDirectoryIsRejectedWhole) {
-  const std::string dir = testing::TempDir() + "/mixed_dir";
+  testkit::ScopedTempDir tmp("mixed_dir");
+  const std::string dir = tmp.Sub("mixed_dir");
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (const auto& [name, bytes] : DirImage(*dir_)) {

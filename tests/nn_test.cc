@@ -7,6 +7,7 @@
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "tensor/optimizer.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -197,7 +198,8 @@ TEST(TransformerTest, ForwardShape) {
 TEST(ModuleTest, SaveLoadRoundtrip) {
   Rng rng(13);
   Mlp mlp(6, 2, 1, &rng);
-  std::string path = testing::TempDir() + "/params.txt";
+  testkit::ScopedTempDir tmp("nn_params");
+  std::string path = tmp.Sub("params.txt");
   ASSERT_TRUE(SaveParams(mlp.Params(), path));
 
   Rng rng2(99);
@@ -215,7 +217,8 @@ TEST(ModuleTest, SaveLoadRoundtrip) {
 TEST(ModuleTest, LoadRejectsShapeMismatch) {
   Rng rng(14);
   Mlp mlp(6, 2, 1, &rng);
-  std::string path = testing::TempDir() + "/params2.txt";
+  testkit::ScopedTempDir tmp("nn_params2");
+  std::string path = tmp.Sub("params2.txt");
   ASSERT_TRUE(SaveParams(mlp.Params(), path));
   Mlp bigger(8, 2, 1, &rng);
   EXPECT_FALSE(LoadParams(bigger.Params(), path));

@@ -1,27 +1,24 @@
 // Quantized inference backend: kernel parity (generic vs AVX2, bit for
 // bit), quantization error bounds against the exact fp32 oracle, the
-// scoring-plan fast path, snapshot round-trips, and backend routing.
+// scoring-plan fast path, and backend routing.
 //
 // The enforced contract (docs/QUANTIZATION.md):
 //   * generic and AVX2 kernels are bit-identical on every input;
-//   * int8 / fp16 ensemble scores stay within kInt8MaxRelError /
-//     kFp16MaxRelError of the exact path;
+//   * int8 ensemble scores stay within kInt8MaxRelError of the exact path;
 //   * top-1 recommendation agreement on the golden 45-cell matrix (15
-//     catalog applications x clusters A/B/C) meets the per-backend floor;
+//     catalog applications x clusters A/B/C) meets the int8 floor;
 //   * the exact path is untouched: backend off => bit-identical scores.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "lite/lite_system.h"
 #include "lite/qnecs.h"
-#include "lite/qsnapshot.h"
-#include "lite/snapshot.h"
 #include "nn/quantized.h"
+#include "obs/metrics.h"
 #include "serve/recommend_pipeline.h"
 #include "sparksim/application.h"
 #include "tensor/qkernels.h"
@@ -34,60 +31,18 @@ namespace {
 
 using qk::KernelIsa;
 
-// The enforced error bounds. fp16 carries ~11 bits of weight mantissa, so
-// its score error is tiny; int8 rides on 8-bit codes per output channel and
+// The enforced error bound. int8 rides on 8-bit codes per output channel and
 // lands well under 5% relative on every measured workload.
 constexpr double kInt8MaxRelError = 0.05;
-constexpr double kFp16MaxRelError = 5e-3;
 // Tolerant top-1 agreement: a cell agrees when the quantized argmin is the
 // exact argmin or costs at most this much exact-score regret.
 constexpr double kAgreementRegret = 0.02;
 constexpr int kInt8MinAgreement = 40;  // of 45 cells.
-constexpr int kFp16MinAgreement = 44;  // of 45 cells.
 
 std::string SeedNote() {
   return "replay with: LITE_TEST_SEED=" +
          std::to_string(testkit::SeedFromEnv());
 }
-
-// ---------------------------------------------------------------------------
-// Half-precision conversions.
-
-TEST(HalfConversionTest, RoundTripIsIdentityOnAllFinitePatterns) {
-  // Every non-NaN binary16 pattern decodes to a float that re-encodes to
-  // the same pattern — the decode is exact, the encode rounds to nearest.
-  for (uint32_t h = 0; h <= 0xFFFFu; ++h) {
-    const uint16_t half = static_cast<uint16_t>(h);
-    const bool is_nan =
-        ((half >> 10) & 0x1Fu) == 0x1Fu && (half & 0x3FFu) != 0;
-    float f = qk::HalfToFloat(half);
-    if (is_nan) {
-      EXPECT_TRUE(std::isnan(f)) << "pattern " << h;
-      continue;
-    }
-    EXPECT_EQ(qk::FloatToHalf(f), half) << "pattern " << h;
-  }
-}
-
-TEST(HalfConversionTest, EncodeHandlesOverflowAndRounding) {
-  // Values beyond the half range overflow to infinity with the right sign.
-  EXPECT_EQ(qk::FloatToHalf(1e6f), 0x7C00u);
-  EXPECT_EQ(qk::FloatToHalf(-1e6f), 0xFC00u);
-  // Largest finite half is 65504.
-  EXPECT_EQ(qk::HalfToFloat(qk::FloatToHalf(65504.0f)), 65504.0f);
-  // Round to nearest even: 1 + 2^-11 is exactly between 1.0 and the next
-  // representable half 1 + 2^-10; ties go to the even significand (1.0).
-  EXPECT_EQ(qk::HalfToFloat(qk::FloatToHalf(1.0f + 0x1p-11f)), 1.0f);
-  // Just above the tie rounds up.
-  EXPECT_EQ(qk::HalfToFloat(qk::FloatToHalf(1.0f + 0x1.8p-11f)),
-            1.0f + 0x1p-10f);
-  // Signed zero survives.
-  EXPECT_EQ(qk::FloatToHalf(-0.0f), 0x8000u);
-  EXPECT_EQ(qk::FloatToHalf(0.0f), 0x0000u);
-}
-
-// ---------------------------------------------------------------------------
-// Int8 row quantization.
 
 TEST(QuantizeRowsTest, DequantErrorWithinHalfScale) {
   Rng rng(testkit::SeedFromEnv() + 11);
@@ -152,33 +107,6 @@ TEST_F(IsaParityTest, DotInt8AgreesWithReferenceOnAllLengths) {
   }
 }
 
-TEST_F(IsaParityTest, DotHalfBitIdenticalAcrossIsas) {
-  if (!qk::Avx2KernelAvailable()) {
-    GTEST_SKIP() << "AVX2 kernels not available on this host";
-  }
-  Rng rng(testkit::SeedFromEnv() + 22);
-  for (size_t n : {1, 3, 7, 8, 9, 16, 24, 31, 33, 63, 64, 65, 200}) {
-    std::vector<float> x(n);
-    std::vector<uint16_t> w(n);
-    for (size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(rng.Gaussian(0.0, 3.0));
-      w[i] = qk::FloatToHalf(static_cast<float>(rng.Gaussian(0.0, 3.0)));
-    }
-    qk::SetKernelIsaForTest(KernelIsa::kGeneric);
-    float generic = qk::DotHalf(x.data(), w.data(), n);
-    qk::SetKernelIsaForTest(KernelIsa::kAvx2);
-    float avx2 = qk::DotHalf(x.data(), w.data(), n);
-    EXPECT_EQ(generic, avx2) << "n=" << n << "; " << SeedNote();
-    // And the fixed-tree sum stays close to the double-precision dot.
-    double ref = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      ref += static_cast<double>(x[i]) *
-             static_cast<double>(qk::HalfToFloat(w[i]));
-    }
-    EXPECT_NEAR(generic, ref, 1e-3 * (1.0 + std::fabs(ref))) << "n=" << n;
-  }
-}
-
 TEST_F(IsaParityTest, GemmsBitIdenticalAcrossIsas) {
   if (!qk::Avx2KernelAvailable()) {
     GTEST_SKIP() << "AVX2 kernels not available on this host";
@@ -190,21 +118,18 @@ TEST_F(IsaParityTest, GemmsBitIdenticalAcrossIsas) {
   for (float& v : x) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
   for (float& v : bias) v = static_cast<float>(rng.Gaussian(0.0, 0.5));
   qk::QuantizedRowMatrix q8 = qk::QuantizeRowsInt8(w.data(), out, in);
-  qk::HalfMatrix f16 = qk::PackHalf(w.data(), out, in);
 
   auto run = [&](KernelIsa isa, bool relu) {
     qk::SetKernelIsaForTest(isa);
     qk::Arena arena;
-    std::vector<float> y8(batch * out), y16(batch * out);
+    std::vector<float> y8(batch * out);
     qk::GemmInt8(x.data(), batch, q8, bias.data(), y8.data(), relu, &arena);
-    qk::GemmHalf(x.data(), batch, f16, bias.data(), y16.data(), relu);
-    return std::make_pair(y8, y16);
+    return y8;
   };
   for (bool relu : {false, true}) {
     auto generic = run(KernelIsa::kGeneric, relu);
     auto avx2 = run(KernelIsa::kAvx2, relu);
-    EXPECT_EQ(generic.first, avx2.first) << "int8 relu=" << relu;
-    EXPECT_EQ(generic.second, avx2.second) << "half relu=" << relu;
+    EXPECT_EQ(generic, avx2) << "int8 relu=" << relu;
   }
 }
 
@@ -216,12 +141,10 @@ TEST(GemmAccuracyTest, GemmsTrackTheFp32Reference) {
   for (float& v : x) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
   for (float& v : bias) v = static_cast<float>(rng.Gaussian(0.0, 0.5));
   qk::QuantizedRowMatrix q8 = qk::QuantizeRowsInt8(w.data(), out, in);
-  qk::HalfMatrix f16 = qk::PackHalf(w.data(), out, in);
 
   qk::Arena arena;
-  std::vector<float> y8(batch * out), y16(batch * out);
+  std::vector<float> y8(batch * out);
   qk::GemmInt8(x.data(), batch, q8, bias.data(), y8.data(), false, &arena);
-  qk::GemmHalf(x.data(), batch, f16, bias.data(), y16.data(), false);
   for (size_t b = 0; b < batch; ++b) {
     for (size_t j = 0; j < out; ++j) {
       double ref = bias[j];
@@ -231,7 +154,6 @@ TEST(GemmAccuracyTest, GemmsTrackTheFp32Reference) {
       }
       double denom = 1.0 + std::fabs(ref);
       EXPECT_NEAR(y8[b * out + j], ref, 0.08 * denom) << b << "," << j;
-      EXPECT_NEAR(y16[b * out + j], ref, 2e-2 * denom) << b << "," << j;
     }
   }
 }
@@ -316,19 +238,17 @@ TEST(QuantizedMlpTest, ForwardBatchTracksExactMlp) {
     mlp.ForwardRows(x.data(), batch, exact.data(), &arena);
   }
 
-  for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-    QuantizedMlp q = QuantizedMlp::From(mlp, mode);
-    ASSERT_EQ(q.input_dim(), input_dim);
-    ASSERT_EQ(q.output_dim(), 1u);
-    qk::Arena arena;
-    std::vector<float> y(batch);
-    q.ForwardBatch(x.data(), batch, y.data(), &arena);
-    double bound = mode == QuantBackend::kInt8 ? 0.15 : 0.01;
-    for (size_t b = 0; b < batch; ++b) {
-      double e = exact[b];
-      EXPECT_NEAR(y[b], e, bound * (1.0 + std::fabs(e)))
-          << QuantBackendName(mode) << " row " << b << "; " << SeedNote();
-    }
+  QuantizedMlp q = QuantizedMlp::From(mlp);
+  ASSERT_EQ(q.input_dim(), input_dim);
+  ASSERT_EQ(q.output_dim(), 1u);
+  qk::Arena arena;
+  std::vector<float> y(batch);
+  q.ForwardBatch(x.data(), batch, y.data(), &arena);
+  const double bound = 0.15;
+  for (size_t b = 0; b < batch; ++b) {
+    double e = exact[b];
+    EXPECT_NEAR(y[b], e, bound * (1.0 + std::fabs(e)))
+        << "int8 row " << b << "; " << SeedNote();
   }
 }
 
@@ -342,17 +262,15 @@ TEST(QuantizedTextCnnTest, EncodeBatchTracksExactEncoder) {
       {1, 2, 3, 4, 5, 6, 7}, {9, 9}, {0}, {11, 48, 3, 21, 35}};
   Tensor exact = cnn.ForwardBatch(sequences)->value;
 
-  for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-    QuantizedTextCnn q = QuantizedTextCnn::From(cnn, mode);
-    qk::Arena arena;
-    std::vector<float> y(sequences.size() * out_dim);
-    q.EncodeBatch(sequences, y.data(), &arena);
-    double bound = mode == QuantBackend::kInt8 ? 0.15 : 0.01;
-    for (size_t i = 0; i < y.size(); ++i) {
-      double e = exact.vec()[i];
-      EXPECT_NEAR(y[i], e, bound * (1.0 + std::fabs(e)))
-          << QuantBackendName(mode) << " element " << i << "; " << SeedNote();
-    }
+  QuantizedTextCnn q = QuantizedTextCnn::From(cnn);
+  qk::Arena arena;
+  std::vector<float> y(sequences.size() * out_dim);
+  q.EncodeBatch(sequences, y.data(), &arena);
+  const double bound = 0.15;
+  for (size_t i = 0; i < y.size(); ++i) {
+    double e = exact.vec()[i];
+    EXPECT_NEAR(y[i], e, bound * (1.0 + std::fabs(e)))
+        << "int8 element " << i << "; " << SeedNote();
   }
 }
 
@@ -422,25 +340,31 @@ TEST_F(QuantTest, QuantizedPredictBatchTracksExactModel) {
 
   const NecsModel* model = system_->model();
   std::vector<double> exact = model->PredictBatch(ce.stage_instances);
-  for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-    const QuantizedNecs* twin = model->Quantized(mode);
-    ASSERT_NE(twin, nullptr);
-    EXPECT_EQ(twin->mode(), mode);
-    std::vector<double> quant = twin->PredictBatch(ce.stage_instances);
-    ASSERT_EQ(quant.size(), exact.size());
-    double bound = mode == QuantBackend::kInt8 ? 0.10 : 0.01;
-    for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(quant[i], exact[i], bound * (1.0 + std::fabs(exact[i])))
-          << QuantBackendName(mode) << " stage " << i << "; " << SeedNote();
-    }
+  const QuantizedNecs* twin = model->Quantized(QuantBackend::kInt8);
+  ASSERT_NE(twin, nullptr);
+  std::vector<double> quant = twin->PredictBatch(ce.stage_instances);
+  ASSERT_EQ(quant.size(), exact.size());
+  const double bound = 0.10;
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_NEAR(quant[i], exact[i], bound * (1.0 + std::fabs(exact[i])))
+        << "int8 stage " << i << "; " << SeedNote();
   }
   // The same twin object is served until invalidation; a parameter-change
-  // invalidation drops it.
+  // invalidation drops it and the next call quantizes a new one. (Comparing
+  // twin pointers cannot show the rebuild: the allocator may hand the new
+  // twin the freed twin's address.)
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter* built =
+      obs::MetricsRegistry::Global().GetCounter("qnecs_twins_built_total");
+  const uint64_t built_before = built->Value();
   EXPECT_EQ(model->Quantized(QuantBackend::kInt8),
             model->Quantized(QuantBackend::kInt8));
-  const QuantizedNecs* before = model->Quantized(QuantBackend::kInt8);
+  EXPECT_EQ(built->Value(), built_before) << "a live twin was rebuilt";
   model->InvalidateCache();
-  EXPECT_NE(model->Quantized(QuantBackend::kInt8), before);
+  model->Quantized(QuantBackend::kInt8);
+  EXPECT_EQ(built->Value(), built_before + 1) << "invalidation kept the twin";
+  obs::SetEnabled(obs_was_enabled);
 }
 
 TEST_F(QuantTest, ScoringPlanPathIsBitIdenticalToSlowPath) {
@@ -453,20 +377,18 @@ TEST_F(QuantTest, ScoringPlanPathIsBitIdenticalToSlowPath) {
     CandidateEval ce = CorpusBuilder(runner_).FeaturizeCandidate(
         system_->corpus(), *t.app, t.data, t.env, t.config);
     ASSERT_FALSE(ce.stage_instances.empty());
-    for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-      const QuantizedNecs* twin = system_->model()->Quantized(mode);
-      ScoringPlan plan = twin->BuildPlan(ce);
-      EXPECT_EQ(plan.num_rows, ce.stage_instances.size());
-      std::vector<double> knobs = space.Normalize(t.config);
-      for (auto& inst : ce.stage_instances) inst.knobs = knobs;
-      qk::Arena arena;
-      double fast = 0.0;
-      plan.ScoreBlock({knobs}, 0, 1, &fast, &arena);
-      double slow = twin->PredictAppSeconds(ce);
-      EXPECT_EQ(fast, slow)
-          << QuantBackendName(mode) << " tuple " << t.Describe() << "; "
-          << SeedNote();
-    }
+    const QuantizedNecs* twin =
+        system_->model()->Quantized(QuantBackend::kInt8);
+    ScoringPlan plan = twin->BuildPlan(ce);
+    EXPECT_EQ(plan.num_rows, ce.stage_instances.size());
+    std::vector<double> knobs = space.Normalize(t.config);
+    for (auto& inst : ce.stage_instances) inst.knobs = knobs;
+    qk::Arena arena;
+    double fast = 0.0;
+    plan.ScoreBlock({knobs}, 0, 1, &fast, &arena);
+    double slow = twin->PredictAppSeconds(ce);
+    EXPECT_EQ(fast, slow) << "int8 tuple " << t.Describe() << "; "
+                          << SeedNote();
   }
 }
 
@@ -477,17 +399,13 @@ TEST_F(QuantTest, DiffQuantizationAccuracyHoldsAcrossPoolSizes) {
   for (size_t pool_size : {size_t{4}, size_t{24}}) {
     testkit::WorkloadTuple t = gen.Next();
     std::vector<spark::Config> pool = MakePool(gen.rng(), pool_size - 1);
-    for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-      double bound =
-          mode == QuantBackend::kInt8 ? kInt8MaxRelError : kFp16MaxRelError;
-      testkit::QuantAccuracyReport report;
-      testkit::DiffResult r = testkit::DiffQuantizationAccuracy(
-          runner_, system_->corpus(), Models(), t, pool, mode, bound,
-          {1, 4, 8}, &report);
-      ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe()
-                        << "\n  " << SeedNote();
-      EXPECT_LE(report.max_rel_error, bound);
-    }
+    testkit::QuantAccuracyReport report;
+    testkit::DiffResult r = testkit::DiffQuantizationAccuracy(
+        runner_, system_->corpus(), Models(), t, pool, QuantBackend::kInt8,
+        kInt8MaxRelError, {1, 4, 8}, &report);
+    ASSERT_TRUE(r.ok) << r.message << "\n  tuple: " << t.Describe() << "\n  "
+                      << SeedNote();
+    EXPECT_LE(report.max_rel_error, kInt8MaxRelError);
   }
 }
 
@@ -506,7 +424,7 @@ TEST_F(QuantTest, DefaultBackendIsTransparent) {
 // Top-1 recommendation agreement over the golden 45-cell matrix (every
 // catalog application on clusters A/B/C, the golden_trace_test grid): the
 // quantized argmin must match the exact argmin — or cost at most
-// kAgreementRegret exact-score regret — on at least the per-backend floor.
+// kAgreementRegret exact-score regret — on at least the int8 floor.
 TEST_F(QuantTest, Top1AgreementOnGolden45CellMatrix) {
   const auto& space = spark::KnobSpace::Spark16();
   Rng rng(testkit::SeedFromEnv() + 55);
@@ -514,7 +432,7 @@ TEST_F(QuantTest, Top1AgreementOnGolden45CellMatrix) {
   for (int c = 0; c < 15; ++c) pool.push_back(space.RandomConfig(&rng));
 
   std::vector<const NecsModel*> models = Models();
-  int agree_int8 = 0, agree_fp16 = 0, cells = 0;
+  int agree_int8 = 0, cells = 0;
   for (const auto& app : spark::AppCatalog::All()) {
     double size_mb =
         app.train_sizes_mb.empty() ? 50.0 : app.train_sizes_mb[0];
@@ -530,25 +448,22 @@ TEST_F(QuantTest, Top1AgreementOnGolden45CellMatrix) {
       for (size_t i = 1; i < exact.size(); ++i) {
         if (exact[i] < exact[exact_best]) exact_best = i;
       }
-      for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-        std::vector<double> quant = ScoreCandidatesWithEnsemble(
-            runner_, system_->corpus(), models, app, data, env, pool, mode, 1);
-        size_t quant_best = 0;
-        for (size_t i = 1; i < quant.size(); ++i) {
-          if (quant[i] < quant[quant_best]) quant_best = i;
-        }
-        double regret = (exact[quant_best] - exact[exact_best]) /
-                        std::max(std::fabs(exact[exact_best]), 1e-9);
-        bool agrees = quant_best == exact_best || regret <= kAgreementRegret;
-        (mode == QuantBackend::kInt8 ? agree_int8 : agree_fp16) += agrees;
+      std::vector<double> quant = ScoreCandidatesWithEnsemble(
+          runner_, system_->corpus(), models, app, data, env, pool,
+          QuantBackend::kInt8, 1);
+      size_t quant_best = 0;
+      for (size_t i = 1; i < quant.size(); ++i) {
+        if (quant[i] < quant[quant_best]) quant_best = i;
       }
+      double regret = (exact[quant_best] - exact[exact_best]) /
+                      std::max(std::fabs(exact[exact_best]), 1e-9);
+      bool agrees = quant_best == exact_best || regret <= kAgreementRegret;
+      agree_int8 += agrees;
     }
   }
   ASSERT_EQ(cells, 45) << "the golden matrix is 15 apps x 3 clusters";
   EXPECT_GE(agree_int8, kInt8MinAgreement)
       << "int8 top-1 agreement dropped below the floor; " << SeedNote();
-  EXPECT_GE(agree_fp16, kFp16MinAgreement)
-      << "fp16 top-1 agreement dropped below the floor; " << SeedNote();
 }
 
 TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
@@ -559,91 +474,21 @@ TEST_F(QuantTest, BackendRoutingThroughScoreCandidateSet) {
   std::vector<spark::Config> pool = MakePool(gen.rng(), 7);
   std::vector<const NecsModel*> models = Models();
 
-  for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-    serve::ScoringOptions opts;
-    opts.threads = 1;
-    opts.backend = mode;
-    std::vector<double> routed = serve::ScoreCandidateSet(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
-    std::vector<double> direct = ScoreCandidatesWithEnsemble(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, mode,
-        1);
-    EXPECT_EQ(routed, direct) << QuantBackendName(mode);
-
-    // Quantized + scalar loop is contradictory: warn and score exactly.
-    opts.batched = false;
-    std::vector<double> fallback = serve::ScoreCandidateSet(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
-    std::vector<double> exact = ScoreCandidatesWithEnsemble(
-        runner_, system_->corpus(), models, *t.app, t.data, t.env, pool,
-        QuantBackend::kExactFp32, 1);
-    EXPECT_EQ(fallback, exact) << QuantBackendName(mode);
-  }
+  serve::ScoringOptions opts;
+  opts.threads = 1;
+  opts.backend = QuantBackend::kInt8;
+  std::vector<double> routed = serve::ScoreCandidateSet(
+      runner_, system_->corpus(), models, *t.app, t.data, t.env, pool, opts);
+  std::vector<double> direct = ScoreCandidatesWithEnsemble(
+      runner_, system_->corpus(), models, *t.app, t.data, t.env, pool,
+      QuantBackend::kInt8, 1);
+  EXPECT_EQ(routed, direct) << "int8";
 }
 
-TEST_F(QuantTest, QuantizedSnapshotRoundTripIsBitIdentical) {
-  std::string dir = testing::TempDir() + "/quant_snapshot_roundtrip";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveSnapshot(*system_, dir));
-
-  testkit::GenOptions gopts;
-  gopts.apps = {"TS", "PR", "KM"};
-  testkit::TupleGenerator gen(gopts, testkit::SeedFromEnv() + 57);
-  testkit::WorkloadTuple t = gen.Next();
-  std::vector<spark::Config> pool = MakePool(gen.rng(), 9);
-
-  for (QuantBackend mode : {QuantBackend::kInt8, QuantBackend::kFp16}) {
-    SCOPED_TRACE(QuantBackendName(mode));
-    // Fresh quantize-on-load reference.
-    std::unique_ptr<LoadedLiteModel> fresh =
-        LoadedLiteModel::Load(dir, runner_);
-    ASSERT_NE(fresh, nullptr);
-    std::vector<const NecsModel*> fresh_models;
-    for (size_t m = 0; m < fresh->ensemble_size(); ++m) {
-      fresh_models.push_back(fresh->model(m));
-    }
-    std::vector<double> want = ScoreCandidatesWithEnsemble(
-        runner_, fresh->feature_space(), fresh_models, *t.app, t.data, t.env,
-        pool, mode, 1);
-    ASSERT_TRUE(SaveQuantizedSnapshot(*fresh, mode, dir));
-
-    // A second load adopting the shipped quantized tensors must score bit
-    // for bit like fresh quantization.
-    std::unique_ptr<LoadedLiteModel> shipped =
-        LoadedLiteModel::Load(dir, runner_);
-    ASSERT_NE(shipped, nullptr);
-    ASSERT_TRUE(LoadQuantizedSnapshot(dir, shipped.get()));
-    std::vector<const NecsModel*> shipped_models;
-    for (size_t m = 0; m < shipped->ensemble_size(); ++m) {
-      shipped_models.push_back(shipped->model(m));
-    }
-    std::vector<double> got = ScoreCandidatesWithEnsemble(
-        runner_, shipped->feature_space(), shipped_models, *t.app, t.data,
-        t.env, pool, mode, 1);
-    EXPECT_EQ(got, want) << "shipped quantized tensors drifted; "
-                         << SeedNote();
-  }
-  std::filesystem::remove_all(dir);
-}
-
+// The backend names label logs, bench JSON and perfbench reports.
 TEST(QuantBackendTest, NamesParseAndRoundTrip) {
-  QuantBackend b = QuantBackend::kInt8;
-  EXPECT_TRUE(ParseQuantBackend("exact", &b));
-  EXPECT_EQ(b, QuantBackend::kExactFp32);
-  EXPECT_TRUE(ParseQuantBackend("fp32", &b));
-  EXPECT_EQ(b, QuantBackend::kExactFp32);
-  EXPECT_TRUE(ParseQuantBackend("int8", &b));
-  EXPECT_EQ(b, QuantBackend::kInt8);
-  EXPECT_TRUE(ParseQuantBackend("fp16", &b));
-  EXPECT_EQ(b, QuantBackend::kFp16);
-  EXPECT_FALSE(ParseQuantBackend("int4", &b));
-  for (QuantBackend mode :
-       {QuantBackend::kExactFp32, QuantBackend::kInt8, QuantBackend::kFp16}) {
-    QuantBackend parsed = QuantBackend::kExactFp32;
-    EXPECT_TRUE(ParseQuantBackend(QuantBackendName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
+  EXPECT_STREQ(QuantBackendName(QuantBackend::kExactFp32), "exact");
+  EXPECT_STREQ(QuantBackendName(QuantBackend::kInt8), "int8");
 }
 
 }  // namespace

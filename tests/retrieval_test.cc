@@ -36,6 +36,7 @@
 #include "sparksim/runner.h"
 #include "testkit/diff.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -269,7 +270,8 @@ TEST(RetrievalPersistenceTest, SaveLoadRoundTripPreservesRetrieval) {
   cache.InsertOutcome("tenant-b", "PR", 22, {5.0, -0.125},
                       MakeConfig(0.875), 98.7654321098765, 4, false);
 
-  const std::string path = testing::TempDir() + "/retrieval_index.txt";
+  testkit::ScopedTempDir tmp("retrieval_index");
+  const std::string path = tmp.Sub("retrieval_index.txt");
   ASSERT_TRUE(cache.SaveIndex(path));
 
   RetrievalCache loaded(SmallCacheOptions());
@@ -292,7 +294,7 @@ TEST(RetrievalPersistenceTest, SaveLoadRoundTripPreservesRetrieval) {
   // A missing file fails cleanly and leaves the loaded cache untouched.
   RetrievalCache untouched(SmallCacheOptions());
   untouched.InsertOutcome("t", "TS", 1, {1.0}, MakeConfig(0.5), 1.0, 1, false);
-  EXPECT_FALSE(untouched.LoadIndex(testing::TempDir() + "/no_such_index.txt"));
+  EXPECT_FALSE(untouched.LoadIndex(tmp.Sub("no_such_index.txt")));
   EXPECT_EQ(untouched.index_size(), 1u);
 }
 
@@ -322,7 +324,8 @@ class RetrievalServiceTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     LiteSystem system(runner_, TinyOptions());
     system.TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/retrieval_snapshot");
+    tmp_ = new testkit::ScopedTempDir("retrieval");
+    dir_ = new std::string(tmp_->Sub("retrieval_snapshot"));
     std::filesystem::create_directories(*dir_);
     ASSERT_TRUE(SaveSnapshot(system, *dir_));
   }
@@ -330,8 +333,10 @@ class RetrievalServiceTest : public ::testing::Test {
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
     delete dir_;
+    delete tmp_;
     delete runner_;
     dir_ = nullptr;
+    tmp_ = nullptr;
     runner_ = nullptr;
   }
 
@@ -366,10 +371,12 @@ class RetrievalServiceTest : public ::testing::Test {
   }
 
   static spark::SparkRunner* runner_;
+  static testkit::ScopedTempDir* tmp_;
   static std::string* dir_;
 };
 
 spark::SparkRunner* RetrievalServiceTest::runner_ = nullptr;
+testkit::ScopedTempDir* RetrievalServiceTest::tmp_ = nullptr;
 std::string* RetrievalServiceTest::dir_ = nullptr;
 
 TEST_F(RetrievalServiceTest, ServiceOptionsValidationCoversRetrieval) {

@@ -12,6 +12,7 @@
 #include "sparksim/faults.h"
 #include "sparksim/resilient_runner.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "tuning/ddpg.h"
 #include "util/string_util.h"
 
@@ -151,8 +152,9 @@ TEST(SnapshotFuzz, CorruptedSnapshotsNeverCrashLoad) {
   LiteSystem system(&runner, opts);
   system.TrainOffline();
 
+  testkit::ScopedTempDir tmp("snapshot_fuzz");
   std::filesystem::path clean_dir =
-      std::filesystem::path(testing::TempDir()) / "lite_snapshot_fuzz_clean";
+      std::filesystem::path(tmp.path()) / "lite_snapshot_fuzz_clean";
   std::filesystem::create_directories(clean_dir);
   ASSERT_TRUE(SaveSnapshot(system, clean_dir.string()));
 
@@ -163,7 +165,7 @@ TEST(SnapshotFuzz, CorruptedSnapshotsNeverCrashLoad) {
   ASSERT_FALSE(files.empty());
 
   std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / "lite_snapshot_fuzz";
+      std::filesystem::path(tmp.path()) / "lite_snapshot_fuzz";
   Rng rng(4242);
   for (int trial = 0; trial < 40; ++trial) {
     // Fresh copy of the clean snapshot, then one mutation.

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "lite/lite_system.h"
-#include "lite/qsnapshot.h"
 #include "lite/snapshot.h"
 #include "modelplane/blob.h"
 #include "modelplane/plane_server.h"
@@ -31,6 +30,7 @@
 #include "sparksim/runner.h"
 #include "sparksim/trace.h"
 #include "testkit/gen.h"
+#include "testkit/temp_dir.h"
 #include "util/rng.h"
 
 namespace lite {
@@ -237,6 +237,7 @@ struct SnapshotFixture {
   std::string meta;  ///< pristine meta.txt contents.
 
   static SnapshotFixture& Get() {
+    static testkit::ScopedTempDir tmp("meta_fuzz");
     static SnapshotFixture* f = [] {
       auto* fx = new SnapshotFixture();
       LiteOptions opts;
@@ -255,7 +256,7 @@ struct SnapshotFixture {
       opts.ensemble_size = 1;
       fx->system = std::make_unique<LiteSystem>(&fx->runner, opts);
       fx->system->TrainOffline();
-      fx->dir = testing::TempDir() + "/meta_fuzz_snapshot";
+      fx->dir = tmp.Sub("meta_fuzz_snapshot");
       std::filesystem::create_directories(fx->dir);
       EXPECT_TRUE(SaveSnapshot(*fx->system, fx->dir));
       std::ifstream in(fx->dir + "/meta.txt");
@@ -371,7 +372,8 @@ std::string BuildIndexDoc(uint64_t seed) {
                         "TS", 100 + i, embedding, config,
                         5.0 + rng.Uniform() * 50.0, 1, i == 0);
   }
-  const std::string path = testing::TempDir() + "/fuzz_index_base.txt";
+  testkit::ScopedTempDir tmp("fuzz_index_base");
+  const std::string path = tmp.Sub("fuzz_index_base.txt");
   EXPECT_TRUE(cache.SaveIndex(path));
   std::ifstream in(path);
   std::stringstream ss;
@@ -381,7 +383,8 @@ std::string BuildIndexDoc(uint64_t seed) {
 }
 
 bool LoadIndexDoc(const std::string& doc, serve::RetrievalCache* cache) {
-  const std::string path = testing::TempDir() + "/fuzz_index_mut.txt";
+  testkit::ScopedTempDir tmp("fuzz_index_mut");
+  const std::string path = tmp.Sub("fuzz_index_mut.txt");
   {
     std::ofstream out(path, std::ios::trunc | std::ios::binary);
     out << doc;
@@ -490,246 +493,6 @@ TEST(RetrievalIndexFuzzTest, DegenerateInputsRejectedCleanly) {
   EXPECT_EQ(cache.index_size(), 0u);
 }
 
-// --- QuantizedSnapshot (`liteqsnapshot v1`) fuzzing -----------------------
-//
-// The quantized-twin loader (lite/qsnapshot.h) installs int8/fp16 tensors
-// the serving path dereferences without further checks, so every corrupt
-// document must either be rejected before anything commits — pre-existing
-// twins untouched, bit for bit — or parse into structurally valid tensors.
-// Scales are the sharp edge: a NaN/inf/zero scale poisons every score.
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-struct QSnapshotFixture {
-  std::unique_ptr<LoadedLiteModel> model;
-  std::string qdir;
-  std::string qmeta;    ///< pristine qmeta.txt contents.
-  std::string tensors;  ///< pristine qnecs_0.txt contents.
-  std::vector<spark::Config> pool;
-  const spark::ApplicationSpec* app = nullptr;
-  spark::DataSpec data;
-  spark::ClusterEnv env = spark::ClusterEnv::ClusterA();
-
-  static QSnapshotFixture& Get() {
-    static QSnapshotFixture* f = [] {
-      auto* fx = new QSnapshotFixture();
-      SnapshotFixture& base = SnapshotFixture::Get();
-      base.WriteMeta(base.meta);  // the meta fuzzers may have run first.
-      fx->model = LoadedLiteModel::Load(base.dir, &base.runner);
-      EXPECT_NE(fx->model, nullptr);
-      fx->qdir = testing::TempDir() + "/qsnapshot_fuzz";
-      std::filesystem::create_directories(fx->qdir);
-      EXPECT_TRUE(
-          SaveQuantizedSnapshot(*fx->model, QuantBackend::kInt8, fx->qdir));
-      fx->qmeta = Slurp(fx->qdir + "/qmeta.txt");
-      fx->tensors = Slurp(fx->qdir + "/qnecs_0.txt");
-      fx->app = spark::AppCatalog::Find("TS");
-      fx->data = fx->app->MakeData(fx->app->test_size_mb);
-      Rng rng(0x9dba5);
-      for (int i = 0; i < 4; ++i) {
-        fx->pool.push_back(spark::KnobSpace::Spark16().RandomConfig(&rng));
-      }
-      return fx;
-    }();
-    return *f;
-  }
-
-  void Write(const std::string& name, const std::string& contents) const {
-    std::ofstream out(qdir + "/" + name, std::ios::trunc | std::ios::binary);
-    out << contents;
-  }
-  void Restore() const {
-    Write("qmeta.txt", qmeta);
-    Write("qnecs_0.txt", tensors);
-  }
-  bool Load() const { return LoadQuantizedSnapshot(qdir, model.get()); }
-  std::vector<double> Score() const {
-    SnapshotFixture& base = SnapshotFixture::Get();
-    std::vector<const NecsModel*> models = {model->model(0)};
-    return ScoreCandidatesWithEnsemble(
-        &base.runner, model->feature_space(), models, *app, data, env, pool,
-        QuantBackend::kInt8, 1);
-  }
-};
-
-/// Rewrites the first weight row of the first quantized layer: tokenizes the
-/// line after the first "layer ..." header, applies `edit`, rejoins.
-std::string WithFirstLayerRow(
-    const std::string& doc,
-    const std::function<void(std::vector<std::string>*)>& edit) {
-  size_t header = doc.find("\nlayer ");
-  EXPECT_NE(header, std::string::npos);
-  size_t row_start = doc.find('\n', header + 1) + 1;
-  size_t row_end = doc.find('\n', row_start);
-  EXPECT_NE(row_end, std::string::npos);
-  std::istringstream row(doc.substr(row_start, row_end - row_start));
-  std::vector<std::string> tokens;
-  std::string tok;
-  while (row >> tok) tokens.push_back(tok);
-  edit(&tokens);
-  std::string rebuilt;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    rebuilt += tokens[i];
-    if (i + 1 < tokens.size()) rebuilt += ' ';
-  }
-  return doc.substr(0, row_start) + rebuilt + doc.substr(row_end);
-}
-
-TEST(QuantizedSnapshotFuzzTest, LoaderSurvivesCorruption) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  uint64_t seed = testkit::SeedFromEnv();
-  Rng rng(seed ^ 0x95a7u);
-
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> pristine = fx.Score();
-  for (double s : pristine) ASSERT_TRUE(std::isfinite(s));
-
-  size_t rounds = std::max<size_t>(60, testkit::CasesFromEnv());
-  for (size_t i = 0; i < rounds; ++i) {
-    // Re-arm the pristine twins so "model untouched" means one thing.
-    fx.Restore();
-    ASSERT_TRUE(fx.Load());
-    fx.Write("qnecs_0.txt", Mutate(fx.tensors, &rng));
-    if (fx.Load()) {
-      // Committed: the tensors passed validation, so scoring through them
-      // must at least stay finite (no NaN scale slipped through).
-      for (double s : fx.Score()) {
-        EXPECT_TRUE(std::isfinite(s)) << "round " << i << "; " << SeedNote();
-      }
-    } else {
-      // Rejected: parse-to-temp-commit — the twins installed before the
-      // corrupt load must score bit-identically.
-      EXPECT_EQ(fx.Score(), pristine)
-          << "failed load perturbed the installed twins; round " << i << "; "
-          << SeedNote();
-    }
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, CorruptedScalesAndZeroPointsRejected) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  using Edit = std::function<void(std::vector<std::string>*)>;
-  // Token layout of an int8 weight row: scale zero_point code...
-  const std::vector<std::pair<std::string, Edit>> corruptions = {
-      {"nan scale", [](std::vector<std::string>* t) { (*t)[0] = "nan"; }},
-      {"inf scale", [](std::vector<std::string>* t) { (*t)[0] = "inf"; }},
-      {"-inf scale", [](std::vector<std::string>* t) { (*t)[0] = "-inf"; }},
-      {"zero scale", [](std::vector<std::string>* t) { (*t)[0] = "0"; }},
-      {"negative scale", [](std::vector<std::string>* t) { (*t)[0] = "-0.5"; }},
-      {"absurd zero-point",
-       [](std::vector<std::string>* t) { (*t)[1] = "99999999"; }},
-      {"non-numeric zero-point",
-       [](std::vector<std::string>* t) { (*t)[1] = "zp"; }},
-      {"code above int8 range",
-       [](std::vector<std::string>* t) { (*t)[2] = "300"; }},
-      {"code below int8 range",
-       [](std::vector<std::string>* t) { (*t)[2] = "-300"; }},
-  };
-  for (const auto& [label, edit] : corruptions) {
-    fx.Restore();
-    ASSERT_TRUE(fx.Load());
-    const std::vector<double> before = fx.Score();
-    fx.Write("qnecs_0.txt", WithFirstLayerRow(fx.tensors, edit));
-    EXPECT_FALSE(fx.Load()) << "accepted " << label;
-    EXPECT_EQ(fx.Score(), before)
-        << "rejected " << label << " but perturbed the installed twins";
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, TruncatedTensorFilesFailCleanly) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  uint64_t seed = testkit::SeedFromEnv();
-  Rng rng(seed ^ 0x7bcau);
-
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> pristine = fx.Score();
-
-  size_t rounds = std::max<size_t>(60, testkit::CasesFromEnv());
-  for (size_t i = 0; i < rounds; ++i) {
-    size_t cut = rng.Index(fx.tensors.size());
-    fx.Write("qnecs_0.txt", fx.tensors.substr(0, cut));
-    // Only a cut that preserves the trailing "end" sentinel can load; any
-    // mid-tensor truncation must fail and leave the twins untouched.
-    if (!fx.Load()) {
-      EXPECT_EQ(fx.Score(), pristine)
-          << "cut=" << cut << "; " << SeedNote();
-    }
-  }
-  // Degenerate tensor files are always rejected.
-  for (const std::string& doc :
-       {std::string(), std::string("qnecs v1\n"),
-        std::string("wrongmagic v1\ncnn none\nmlp 0\nend\n"),
-        std::string("qnecs v2\ncnn none\nmlp 0\nend\n")}) {
-    fx.Write("qnecs_0.txt", doc);
-    EXPECT_FALSE(fx.Load()) << "accepted tensor junk of size " << doc.size();
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, UnknownQmetaKeysAreSkippedNotFatal) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> want = fx.Score();
-
-  std::vector<std::string> futures = {
-      fx.qmeta + "calibration_temp 0.85\n",
-      fx.qmeta + "note produced by a newer exporter\nexport_sha 3f9ab2\n",
-      fx.qmeta + "experimental_flag\n",
-      fx.qmeta + "trailing_key_without_newline 1",
-  };
-  // Unknown keys between known ones, not just appended.
-  size_t first_nl = fx.qmeta.find('\n');
-  ASSERT_NE(first_nl, std::string::npos);
-  std::string interleaved = fx.qmeta;
-  interleaved.insert(first_nl + 1, "provenance run-2031-01 cluster-x\n");
-  futures.push_back(interleaved);
-
-  for (const std::string& doc : futures) {
-    fx.Restore();
-    fx.Write("qmeta.txt", doc);
-    ASSERT_TRUE(fx.Load()) << "rejected forward-compatible qmeta:\n" << doc;
-    EXPECT_EQ(fx.Score(), want) << "unknown qmeta key steered scoring";
-  }
-  fx.Restore();
-}
-
-TEST(QuantizedSnapshotFuzzTest, DegenerateQmetaRejectedCleanly) {
-  QSnapshotFixture& fx = QSnapshotFixture::Get();
-  fx.Restore();
-  ASSERT_TRUE(fx.Load());
-  const std::vector<double> before = fx.Score();
-  for (const std::string& doc : {
-           std::string(),
-           std::string("liteqsnapshot v1\n"),  // no backend/ensemble.
-           std::string("wrongmagic v1\nbackend int8\nensemble 1\n"),
-           std::string("liteqsnapshot v2\nbackend int8\nensemble 1\n"),
-           // The exact backend has no quantized tensors to ship.
-           std::string("liteqsnapshot v1\nbackend exact\nensemble 1\n"),
-           std::string("liteqsnapshot v1\nbackend int4\nensemble 1\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 0\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 999\n"),
-           // Ensemble size disagreeing with the loaded model.
-           std::string("liteqsnapshot v1\nbackend int8\nensemble 2\n"),
-           std::string("liteqsnapshot v1\nbackend int8\nensemble -1\n"),
-       }) {
-    fx.Write("qmeta.txt", doc);
-    EXPECT_FALSE(fx.Load()) << "accepted qmeta:\n" << doc;
-    EXPECT_EQ(fx.Score(), before) << "rejected qmeta perturbed twins:\n"
-                                  << doc;
-  }
-  fx.Restore();
-}
-
 // --- Stage-head snapshot section (`stagehead.txt` + meta flag) fuzzing ----
 //
 // The per-stage head rides in the snapshot as one more parameter file,
@@ -749,6 +512,7 @@ struct StageHeadFixture {
   std::string head_doc;   ///< pristine stagehead.txt contents.
 
   static StageHeadFixture& Get() {
+    static testkit::ScopedTempDir tmp("stage_head_fuzz");
     static StageHeadFixture* f = [] {
       auto* fx = new StageHeadFixture();
       LiteOptions opts;
@@ -770,7 +534,7 @@ struct StageHeadFixture {
       fx->system = std::make_unique<LiteSystem>(&fx->runner, opts);
       fx->system->TrainOffline();
       EXPECT_NE(fx->system->stage_head(), nullptr);
-      fx->dir = testing::TempDir() + "/stage_head_fuzz_snapshot";
+      fx->dir = tmp.Sub("stage_head_fuzz_snapshot");
       std::filesystem::create_directories(fx->dir);
       EXPECT_TRUE(SaveSnapshot(*fx->system, fx->dir));
       fx->meta = ReadFile(fx->dir + "/meta.txt");

@@ -10,6 +10,7 @@
 #include "lite/vocab.h"
 #include "ml/serialization.h"
 #include "sparksim/dag.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -50,7 +51,8 @@ TEST(SerializationTest, ForestRoundtripViaFile) {
   RandomForestRegressor forest(ForestOptions{.num_trees = 8});
   forest.Fit(x, y, &rng);
 
-  std::string path = testing::TempDir() + "/forest.txt";
+  testkit::ScopedTempDir tmp("forest");
+  std::string path = tmp.Sub("forest.txt");
   ASSERT_TRUE(SaveForestToFile(forest, path));
   RandomForestRegressor loaded;
   ASSERT_TRUE(LoadForestFromFile(path, &loaded));
@@ -139,7 +141,8 @@ TEST(SnapshotTest, SaveLoadRecommendAgrees) {
   LiteSystem system(&runner, opts);
   system.TrainOffline();
 
-  std::string dir = testing::TempDir() + "/lite_snapshot";
+  testkit::ScopedTempDir tmp("lite_snapshot");
+  std::string dir = tmp.Sub("lite_snapshot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(system, dir));
 
@@ -168,7 +171,8 @@ TEST(SnapshotTest, LoadRejectsMissingDir) {
 TEST(SnapshotTest, SaveRequiresTrainedSystem) {
   spark::SparkRunner runner;
   LiteSystem system(&runner, LiteOptions{});
-  EXPECT_FALSE(SaveSnapshot(system, testing::TempDir()));
+  testkit::ScopedTempDir tmp("untrained_snapshot");
+  EXPECT_FALSE(SaveSnapshot(system, tmp.path()));
 }
 
 }  // namespace

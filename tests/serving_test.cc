@@ -25,6 +25,7 @@
 #include "serve/recommend_pipeline.h"
 #include "serve/tuning_service.h"
 #include "sparksim/runner.h"
+#include "testkit/temp_dir.h"
 #include "util/thread_pool.h"
 
 namespace lite {
@@ -60,7 +61,8 @@ class ServingTest : public ::testing::Test {
     runner_ = new spark::SparkRunner();
     system_ = new LiteSystem(runner_, TinyOptions(/*ensemble=*/2));
     system_->TrainOffline();
-    dir_ = new std::string(testing::TempDir() + "/serving_snapshot");
+    tmp_ = new testkit::ScopedTempDir("serving");
+    dir_ = new std::string(tmp_->Sub("serving_snapshot"));
     std::filesystem::create_directories(*dir_);
     ASSERT_TRUE(SaveSnapshot(*system_, *dir_));
   }
@@ -68,9 +70,11 @@ class ServingTest : public ::testing::Test {
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
     delete dir_;
+    delete tmp_;
     delete system_;
     delete runner_;
     dir_ = nullptr;
+    tmp_ = nullptr;
     system_ = nullptr;
     runner_ = nullptr;
   }
@@ -93,11 +97,13 @@ class ServingTest : public ::testing::Test {
 
   static spark::SparkRunner* runner_;
   static LiteSystem* system_;
+  static testkit::ScopedTempDir* tmp_;
   static std::string* dir_;
 };
 
 spark::SparkRunner* ServingTest::runner_ = nullptr;
 LiteSystem* ServingTest::system_ = nullptr;
+testkit::ScopedTempDir* ServingTest::tmp_ = nullptr;
 std::string* ServingTest::dir_ = nullptr;
 
 // The acceptance differential: one snapshot, one seed => one bit pattern,

@@ -25,6 +25,7 @@
 #include "sparksim/stage_planner.h"
 #include "testkit/gen.h"
 #include "testkit/oracle.h"
+#include "testkit/temp_dir.h"
 
 namespace lite {
 namespace {
@@ -479,7 +480,8 @@ TEST(LiteSystemStageTest, DisabledByDefaultHasNoHead) {
 
 TEST(SnapshotStageTest, HeadRoundTripsAndClonePlansIdentically) {
   TrainedFixture& fx = TrainedFixture::Get();
-  std::string dir = testing::TempDir() + "/stage_tuning_snapshot";
+  testkit::ScopedTempDir tmp("stage_tuning");
+  std::string dir = tmp.Sub("stage_tuning_snapshot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(*fx.system, dir));
   auto loaded = LoadedLiteModel::Load(dir, &fx.runner);
@@ -517,10 +519,11 @@ TEST(SnapshotStageTest, HeadRoundTripsAndClonePlansIdentically) {
 
 struct ServiceFixture {
   TrainedFixture* base = &TrainedFixture::Get();
+  testkit::ScopedTempDir tmp{"stage_tuning_service"};
   std::string dir;
 
   ServiceFixture() {
-    dir = testing::TempDir() + "/stage_tuning_service_snapshot";
+    dir = tmp.Sub("stage_tuning_service_snapshot");
     std::filesystem::create_directories(dir);
     EXPECT_TRUE(SaveSnapshot(*base->system, dir));
   }
@@ -616,7 +619,8 @@ TEST(ServiceStageTest, HeadlessSnapshotRejectsRetune) {
   opts.ensemble_size = 1;
   LiteSystem headless(&runner, opts);
   headless.TrainOffline();
-  std::string dir = testing::TempDir() + "/stage_tuning_headless_snapshot";
+  testkit::ScopedTempDir tmp("stage_tuning_headless");
+  std::string dir = tmp.Sub("stage_tuning_headless_snapshot");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveSnapshot(headless, dir));
 
